@@ -11,7 +11,11 @@ void Switch::enable_management(Ipv4Address ip, MacAddress mac,
 }
 
 void Switch::on_frame(Nic& ingress, const Frame& frame) {
-  fdb_[frame->src] = &ingress;  // learn
+  Nic*& learned = fdb_[frame->src];  // learn
+  if (learned != &ingress) {
+    learned = &ingress;
+    ++stats_.fdb_changes;
+  }
 
   if (management_ != nullptr && frame->dst == management_mac_) {
     ++stats_.frames_to_management;

@@ -20,6 +20,9 @@ struct SwitchStats {
   std::uint64_t frames_flooded = 0;
   std::uint64_t frames_to_management = 0;
   std::uint64_t frames_dropped_same_port = 0;
+  /// Forwarding-database changes: a new MAC learned, or a known MAC seen
+  /// on a different port. A repeat frame from the same port is not one.
+  std::uint64_t fdb_changes = 0;
 };
 
 class Switch : public Node {

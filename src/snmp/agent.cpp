@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "snmp/ber.h"
+#include "snmp/ber_view.h"
 
 namespace netqos::snmp {
 
@@ -84,9 +85,23 @@ void SnmpAgent::handle(const sim::Ipv4Packet& packet) {
   ++stats_.requests;
   if (!responding_) return;  // daemon down: silent drop, manager times out
 
-  Message request;
+  // The envelope is read in place, so a wrong community is dropped
+  // before any varbind is materialized.
+  Message response;
+  Pdu request;
   try {
-    request = decode_message(packet.udp.payload);
+    const MessageHeadView head = decode_message_head(packet.udp.payload);
+    if (head.community != config_.community) {
+      // RFC 1157: silently drop on community mismatch (no trap support).
+      ++stats_.auth_failures;
+      return;
+    }
+    response.version = head.version;
+    request.type = static_cast<PduType>(head.pdu_tag);
+    request.request_id = head.request_id;
+    request.error_status = head.error_status;
+    request.error_index = head.error_index;
+    request.varbinds = decode_varbinds(head.varbinds);
   } catch (const BerError& e) {
     ++stats_.decode_errors;
     NETQOS_DEBUG() << "agent decode error: " << e.what();
@@ -97,16 +112,8 @@ void SnmpAgent::handle(const sim::Ipv4Packet& packet) {
     NETQOS_DEBUG() << "agent decode error: " << e.what();
     return;
   }
-  if (request.community != config_.community) {
-    // RFC 1157: silently drop on community mismatch (no trap support).
-    ++stats_.auth_failures;
-    return;
-  }
-
-  Message response;
-  response.version = request.version;
-  response.community = request.community;
-  response.pdu = process(request);
+  response.community = config_.community;
+  response.pdu = process(std::move(request), response.version);
 
   SimDuration delay =
       config_.base_processing_delay +
@@ -127,19 +134,19 @@ void SnmpAgent::handle(const sim::Ipv4Packet& packet) {
   });
 }
 
-Pdu SnmpAgent::process(const Message& request) {
-  switch (request.pdu.type) {
+Pdu SnmpAgent::process(Pdu request, SnmpVersion version) {
+  switch (request.type) {
     case PduType::kGetRequest:
-      return process_get(request.pdu, request.version);
+      return process_get(std::move(request), version);
     case PduType::kGetNextRequest:
-      return process_get_next(request.pdu, request.version);
+      return process_get_next(std::move(request), version);
     case PduType::kGetBulkRequest:
-      if (request.version == SnmpVersion::kV2c) {
-        return process_get_bulk(request.pdu);
+      if (version == SnmpVersion::kV2c) {
+        return process_get_bulk(request);
       }
       [[fallthrough]];
     default: {
-      Pdu response = request.pdu;
+      Pdu response = std::move(request);
       response.type = PduType::kGetResponse;
       response.error_status = ErrorStatus::kGenErr;
       response.error_index = 0;
@@ -148,11 +155,11 @@ Pdu SnmpAgent::process(const Message& request) {
   }
 }
 
-Pdu SnmpAgent::process_get(const Pdu& request, SnmpVersion version) {
+Pdu SnmpAgent::process_get(Pdu request, SnmpVersion version) {
   Pdu response;
   response.type = PduType::kGetResponse;
   response.request_id = request.request_id;
-  response.varbinds = request.varbinds;
+  response.varbinds = std::move(request.varbinds);
 
   for (std::size_t i = 0; i < response.varbinds.size(); ++i) {
     auto value = mib_.get(response.varbinds[i].oid);
@@ -169,25 +176,24 @@ Pdu SnmpAgent::process_get(const Pdu& request, SnmpVersion version) {
   return response;
 }
 
-Pdu SnmpAgent::process_get_next(const Pdu& request, SnmpVersion version) {
+Pdu SnmpAgent::process_get_next(Pdu request, SnmpVersion version) {
   Pdu response;
   response.type = PduType::kGetResponse;
   response.request_id = request.request_id;
-  response.varbinds = request.varbinds;
+  response.varbinds = std::move(request.varbinds);
 
   for (std::size_t i = 0; i < response.varbinds.size(); ++i) {
-    auto next = mib_.get_next(response.varbinds[i].oid);
+    VarBind& vb = response.varbinds[i];
+    const MibTree::Cursor next = mib_.seek_after(vb.oid);
     // RFC 1905 §4.2.2: the successor must be lexicographically greater
-    // than the request OID. MibTree::get_next guarantees this by map
-    // ordering, but a guard keeps a future MIB backend from ever
-    // emitting the endless-walk responses the manager defends against.
-    const bool increasing =
-        next.has_value() && next->first > response.varbinds[i].oid;
-    if (increasing) {
-      response.varbinds[i].oid = std::move(next->first);
-      response.varbinds[i].value = std::move(next->second);
+    // than the request OID. The cursor guarantees this by map ordering,
+    // but a guard keeps a future MIB backend from ever emitting the
+    // endless-walk responses the manager defends against.
+    if (!next.at_end() && next.oid() > vb.oid) {
+      vb.oid = next.oid();
+      vb.value = next.value();
     } else if (version == SnmpVersion::kV2c) {
-      response.varbinds[i].value = VarBindException::kEndOfMibView;
+      vb.value = VarBindException::kEndOfMibView;
     } else {
       response.error_status = ErrorStatus::kNoSuchName;
       response.error_index = static_cast<std::int32_t>(i + 1);
@@ -202,47 +208,45 @@ Pdu SnmpAgent::process_get_bulk(const Pdu& request) {
   response.type = PduType::kGetResponse;
   response.request_id = request.request_id;
 
-  const auto non_repeaters = static_cast<std::size_t>(
-      std::max<std::int32_t>(0, request.non_repeaters()));
+  const std::size_t non_repeaters =
+      std::min(request.varbinds.size(),
+               static_cast<std::size_t>(
+                   std::max<std::int32_t>(0, request.non_repeaters())));
   const auto max_reps = static_cast<std::size_t>(
       std::max<std::int32_t>(0, request.max_repetitions()));
+  const std::size_t cap = config_.max_response_varbinds;
+  const std::size_t repetitions =
+      (request.varbinds.size() - non_repeaters) * max_reps;
+  // Non-repeaters are always answered; repetitions stop at the cap.
+  response.varbinds.reserve(
+      std::max(non_repeaters, std::min(cap, non_repeaters + repetitions)));
 
   // Non-repeaters: one GETNEXT each.
-  for (std::size_t i = 0;
-       i < std::min(non_repeaters, request.varbinds.size()); ++i) {
-    auto next = mib_.get_next(request.varbinds[i].oid);
-    VarBind vb;
-    if (next.has_value()) {
-      vb.oid = next->first;
-      vb.value = next->second;
+  for (std::size_t i = 0; i < non_repeaters; ++i) {
+    const MibTree::Cursor next = mib_.seek_after(request.varbinds[i].oid);
+    if (next.at_end()) {
+      response.varbinds.push_back(
+          {request.varbinds[i].oid, VarBindException::kEndOfMibView});
     } else {
-      vb.oid = request.varbinds[i].oid;
-      vb.value = VarBindException::kEndOfMibView;
+      response.varbinds.push_back({next.oid(), next.value()});
     }
-    response.varbinds.push_back(std::move(vb));
   }
 
-  // Repeaters: up to max-repetitions GETNEXT steps per varbind.
+  // Repeaters: one seek per varbind, then up to max-repetitions steps.
   for (std::size_t i = non_repeaters; i < request.varbinds.size(); ++i) {
-    Oid cursor = request.varbinds[i].oid;
-    for (std::size_t rep = 0; rep < max_reps; ++rep) {
-      if (response.varbinds.size() >= config_.max_response_varbinds) {
-        return response;
-      }
-      auto next = mib_.get_next(cursor);
-      VarBind vb;
+    const Oid* previous = &request.varbinds[i].oid;
+    MibTree::Cursor next = mib_.seek_after(*previous);
+    for (std::size_t rep = 0; rep < max_reps; ++rep, next.advance()) {
+      if (response.varbinds.size() >= cap) return response;
       // Same monotonicity guard as GETNEXT: a non-increasing successor
       // would repeat rows up to max-repetitions; end the view instead.
-      if (!next.has_value() || next->first <= cursor) {
-        vb.oid = cursor;
-        vb.value = VarBindException::kEndOfMibView;
-        response.varbinds.push_back(std::move(vb));
+      if (next.at_end() || next.oid() <= *previous) {
+        response.varbinds.push_back(
+            {*previous, VarBindException::kEndOfMibView});
         break;
       }
-      cursor = next->first;
-      vb.oid = next->first;
-      vb.value = next->second;
-      response.varbinds.push_back(std::move(vb));
+      previous = &next.oid();
+      response.varbinds.push_back({next.oid(), next.value()});
     }
   }
   return response;

@@ -26,7 +26,9 @@ struct AgentConfig {
   /// Probability that a request hits a scheduling hiccup of extra delay.
   double hiccup_probability = 0.02;
   SimDuration hiccup_delay = 30 * kMillisecond;
-  /// Responses bigger than this many varbinds get a tooBig error.
+  /// GETBULK stops adding repetitions once the response holds this many
+  /// varbinds (its non-repeaters are always answered). GET and GETNEXT
+  /// are answered in full whatever their size; no request gets tooBig.
   std::size_t max_response_varbinds = 128;
   std::uint64_t seed = 0xa9e47;
 };
@@ -74,9 +76,9 @@ class SnmpAgent {
 
  private:
   void handle(const sim::Ipv4Packet& packet);
-  Pdu process(const Message& request);
-  Pdu process_get(const Pdu& request, SnmpVersion version);
-  Pdu process_get_next(const Pdu& request, SnmpVersion version);
+  Pdu process(Pdu request, SnmpVersion version);
+  Pdu process_get(Pdu request, SnmpVersion version);
+  Pdu process_get_next(Pdu request, SnmpVersion version);
   Pdu process_get_bulk(const Pdu& request);
 
   sim::Simulator& sim_;

@@ -124,6 +124,7 @@ int OidView::compare(const Oid& other) const {
 
 Oid OidView::to_oid() const {
   std::vector<std::uint32_t> arcs;
+  arcs.reserve(content.size() + 1);  // one arc per byte, two in the first
   iterate_arcs(content, [&](std::uint32_t arc) {
     arcs.push_back(arc);
     return true;

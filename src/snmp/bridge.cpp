@@ -10,7 +10,13 @@ Oid fdb_instance(const sim::MacAddress& mac) {
 }
 
 void register_bridge_mib(MibTree& mib, const sim::Switch& sw) {
-  mib.add_refresh_hook([&sw](MibTree& tree) {
+  // Hooks run before every lookup; rebuilding the rows only when the FDB
+  // changed keeps a GETBULK from re-registering every MAC per varbind.
+  // An empty FDB has no rows, so "no changes yet" needs no rebuild.
+  mib.add_refresh_hook([&sw, changes_seen = std::uint64_t{0}](
+                           MibTree& tree) mutable {
+    if (sw.stats().fdb_changes == changes_seen) return;
+    changes_seen = sw.stats().fdb_changes;
     tree.unregister_subtree(mib2::kDot1dTpFdbPort);
     for (const auto& [mac, port] : sw.fdb()) {
       // Map the learned port back to its 1-based interface position.

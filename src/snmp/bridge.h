@@ -3,8 +3,10 @@
 // Serves dot1dTpFdbPort — the switch port each learned MAC address lives
 // behind — from the live forwarding database. Registered through a MIB
 // refresh hook because the FDB grows as the switch learns; rows appear
-// and disappear between queries. This is the data source for the
-// dynamic-topology-discovery extension (paper §5 future work).
+// and move between queries. The hook rebuilds the rows only when the
+// switch's FDB change count has moved since the last rebuild. This is
+// the data source for the dynamic-topology-discovery extension (paper §5
+// future work).
 #pragma once
 
 #include "netsim/switch.h"

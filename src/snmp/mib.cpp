@@ -40,11 +40,9 @@ std::optional<SnmpValue> MibTree::get(const Oid& instance) {
   return it->second();
 }
 
-std::optional<std::pair<Oid, SnmpValue>> MibTree::get_next(const Oid& oid) {
+MibTree::Cursor MibTree::seek_after(const Oid& oid) {
   run_hooks();
-  auto it = objects_.upper_bound(oid);
-  if (it == objects_.end()) return std::nullopt;
-  return std::make_pair(it->first, it->second());
+  return Cursor(objects_.upper_bound(oid), objects_.end());
 }
 
 }  // namespace netqos::snmp

@@ -69,6 +69,31 @@ TEST_F(SwitchFixture, FdbLearnsSourcePorts) {
   EXPECT_EQ(port->name(), "p1");
 }
 
+TEST_F(SwitchFixture, FdbChangeCountMovesOnNewOrMovedMacOnly) {
+  const MacAddress mac_a = hosts[0]->find_interface("eth0")->mac();
+  hosts[0]->udp().send(hosts[1]->ip(), 9, 1000, {}, 10);
+  sim.run_all();
+  EXPECT_EQ(sw->stats().fdb_changes, 1u);  // A learned on p1
+
+  // A repeat frame from the same port changes nothing.
+  hosts[0]->udp().send(hosts[1]->ip(), 9, 1000, {}, 10);
+  sim.run_all();
+  EXPECT_EQ(sw->stats().fdb_changes, 1u);
+
+  hosts[1]->udp().send(hosts[0]->ip(), 9, 1000, {}, 10);  // B is new
+  sim.run_all();
+  EXPECT_EQ(sw->stats().fdb_changes, 2u);
+
+  // A's MAC now arrives on p3, as if A had been re-cabled: a move.
+  EthernetFrame moved;
+  moved.src = mac_a;
+  moved.dst = hosts[1]->find_interface("eth0")->mac();
+  sw->on_frame(*sw->find_interface("p3"), make_frame(moved));
+  sim.run_all();
+  EXPECT_EQ(sw->stats().fdb_changes, 3u);
+  EXPECT_EQ(sw->learned_port(mac_a)->name(), "p3");
+}
+
 TEST_F(SwitchFixture, SwitchPortCountersSeeForwardedTraffic) {
   hosts[1]->udp().send(hosts[0]->ip(), 9, 1000, {}, 10);  // learn B
   sim.run_all();

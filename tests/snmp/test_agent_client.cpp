@@ -4,6 +4,7 @@
 #include "netsim/network.h"
 #include "netsim/simulator.h"
 #include "snmp/agent.h"
+#include "snmp/ber.h"
 #include "snmp/client.h"
 #include "snmp/mib2.h"
 
@@ -165,12 +166,67 @@ TEST_F(AgentClientFixture, CountersVisibleThroughAgent) {
   EXPECT_GE(as_counter32(got->varbinds[0].value), 1000u);
 }
 
+/// A v2c GetRequest whose varbind list content is `varbinds` verbatim, so
+/// malformed varbinds can sit inside a well-formed envelope.
+Bytes get_request_with_varbinds(const std::string& community,
+                                const Bytes& varbinds) {
+  ByteWriter pdu;
+  ber::write_integer(pdu, 77);  // request-id
+  ber::write_integer(pdu, 0);
+  ber::write_integer(pdu, 0);
+  ber::write_wrapped(pdu, ber::kTagSequence, varbinds);
+  ByteWriter message;
+  ber::write_integer(message, static_cast<std::int64_t>(SnmpVersion::kV2c));
+  ber::write_octet_string(message, community);
+  ber::write_wrapped(message, ber::kTagGetRequest, pdu.bytes());
+  ByteWriter wire;
+  ber::write_wrapped(wire, ber::kTagSequence, message.bytes());
+  return std::move(wire).take();
+}
+
 TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
+  std::size_t replies = 0;
   const auto sport = manager->udp().allocate_ephemeral_port();
-  manager->udp().send(target->ip(), sim::kSnmpPort, sport,
-                      {0xde, 0xad, 0xbe, 0xef});
-  sim.run_until(seconds(1));
+  manager->udp().bind(sport, [&](const sim::Ipv4Packet&) { ++replies; });
+  const auto send = [&](Bytes wire) {
+    manager->udp().send(target->ip(), sim::kSnmpPort, sport,
+                        std::move(wire));
+    sim.run_until(sim.now() + seconds(1));
+  };
+
+  send({0xde, 0xad, 0xbe, 0xef});
   EXPECT_EQ(agent->stats().decode_errors, 1u);
+
+  ByteWriter body;
+  ber::write_oid(body, mib2::kSysUpTime.child(0));
+  ber::write_null(body);
+  ByteWriter varbind;
+  ber::write_wrapped(varbind, ber::kTagSequence, body.bytes());
+  const Bytes good = varbind.bytes();
+  // The varbind's SEQUENCE header claims two bytes the list lacks.
+  const Bytes truncated(good.begin(), good.end() - 2);
+  ber::write_integer(body, 0);
+  ByteWriter trailing;
+  ber::write_wrapped(trailing, ber::kTagSequence, body.bytes());
+
+  // The community is checked on the envelope, before any varbind is
+  // decoded: a wrong one is an auth failure even over broken varbinds.
+  send(get_request_with_varbinds("wrong", good));
+  send(get_request_with_varbinds("wrong", truncated));
+  EXPECT_EQ(agent->stats().auth_failures, 2u);
+  EXPECT_EQ(agent->stats().decode_errors, 1u);
+
+  send(get_request_with_varbinds("public", truncated));
+  send(get_request_with_varbinds("public", trailing.bytes()));
+  EXPECT_EQ(agent->stats().decode_errors, 3u);
+  EXPECT_EQ(agent->stats().auth_failures, 2u);
+  EXPECT_EQ(replies, 0u);
+  EXPECT_EQ(agent->stats().responses, 0u);
+
+  // The same envelope around a well-formed varbind is answered.
+  send(get_request_with_varbinds("public", good));
+  EXPECT_EQ(replies, 1u);
+  EXPECT_EQ(agent->stats().responses, 1u);
 }
 
 TEST_F(AgentClientFixture, SetRequestAnswersGenErr) {

@@ -40,6 +40,28 @@ class LimitsFixture : public ::testing::Test {
     client = std::make_unique<SnmpClient>(sim, manager->udp());
   }
 
+  /// Single GETNEXTs, one request per step, from `oid`: at most `steps`
+  /// varbinds, ending after an endOfMibView.
+  std::vector<VarBind> get_next_chain(Oid oid, std::size_t steps) {
+    std::vector<VarBind> chain;
+    while (chain.size() < steps) {
+      std::optional<SnmpResult> got;
+      client->get_next(target->ip(), "public", {oid},
+                       [&](SnmpResult r) { got = std::move(r); });
+      sim.run_until(sim.now() + seconds(1));
+      if (!got.has_value() || !got->ok() || got->varbinds.size() != 1) {
+        ADD_FAILURE() << "GETNEXT " << oid.to_string() << " failed";
+        break;
+      }
+      chain.push_back(got->varbinds[0]);
+      if (chain.back().value == SnmpValue(VarBindException::kEndOfMibView)) {
+        break;
+      }
+      oid = chain.back().oid;
+    }
+    return chain;
+  }
+
   sim::Simulator sim;
   sim::Network net;
   sim::Host* manager = nullptr;
@@ -56,6 +78,51 @@ TEST_F(LimitsFixture, GetBulkTruncatedAtResponseLimit) {
   ASSERT_TRUE(got.has_value() && got->ok());
   // The agent caps at 8 varbinds instead of the requested 25.
   EXPECT_EQ(got->varbinds.size(), 8u);
+}
+
+TEST_F(LimitsFixture, GetBulkMatchesChainOfGetNexts) {
+  // A frozen sysUpTime lets requests sent at different times compare
+  // exactly.
+  agent->mib().register_constant(mib2::kSysUpTime.child(0), TimeTicks{4242});
+  const Oid system{1, 3, 6, 1, 2, 1, 1};
+  const Oid vendor{1, 3, 6, 1, 4, 1, 7};  // the end of the MIB
+  struct Bulk {
+    std::vector<Oid> oids;
+    std::int32_t non_repeaters;
+    std::int32_t max_repetitions;
+    std::size_t chained;  ///< varbinds the GETNEXT chains return
+  };
+  const Bulk requests[] = {
+      // Non-repeaters, one past the last object; a column crossing from
+      // the system group into the vendor subtree; a column running off
+      // the end of the MIB. 2 + 4 + 2 varbinds: exactly the cap.
+      {{mib2::kSysDescr, vendor.child(30), system, vendor.child(29)}, 2, 4, 8},
+      // 1 + 6 + 6 varbinds, truncated at the cap of 8.
+      {{mib2::kSysName.child(0), system, vendor}, 1, 6, 13},
+  };
+  for (const Bulk& request : requests) {
+    std::vector<VarBind> expected;
+    for (std::size_t i = 0; i < request.oids.size(); ++i) {
+      const bool repeats =
+          i >= static_cast<std::size_t>(request.non_repeaters);
+      const std::vector<VarBind> chain = get_next_chain(
+          request.oids[i],
+          repeats ? static_cast<std::size_t>(request.max_repetitions) : 1);
+      expected.insert(expected.end(), chain.begin(), chain.end());
+    }
+    ASSERT_EQ(expected.size(), request.chained);
+    if (expected.size() > agent->config().max_response_varbinds) {
+      expected.resize(agent->config().max_response_varbinds);
+    }
+
+    std::optional<SnmpResult> got;
+    client->get_bulk(target->ip(), "public", request.oids,
+                     request.non_repeaters, request.max_repetitions,
+                     [&](SnmpResult r) { got = std::move(r); });
+    sim.run_until(sim.now() + seconds(1));
+    ASSERT_TRUE(got.has_value() && got->ok());
+    EXPECT_EQ(got->varbinds, expected);
+  }
 }
 
 TEST_F(LimitsFixture, GetBulkNegativeFieldsTolerated) {

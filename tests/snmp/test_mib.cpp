@@ -49,25 +49,31 @@ TEST(MibTree, GetNextWalksLexicographically) {
   mib.register_constant(Oid({1, 2}), std::int64_t{12});
   mib.register_constant(Oid({2, 1}), std::int64_t{21});
 
-  auto next = mib.get_next(Oid({1}));
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->first, Oid({1, 1}));
+  // One seek, then the cursor steps through the rest in OID order.
+  MibTree::Cursor next = mib.seek_after(Oid({1}));
+  ASSERT_FALSE(next.at_end());
+  EXPECT_EQ(next.oid(), Oid({1, 1}));
+  EXPECT_EQ(next.value(), SnmpValue(std::int64_t{11}));
+  next.advance();
+  EXPECT_EQ(next.oid(), Oid({1, 2}));
+  next.advance();
+  EXPECT_EQ(next.oid(), Oid({2, 1}));
+  EXPECT_EQ(next.value(), SnmpValue(std::int64_t{21}));
+  next.advance();
+  EXPECT_TRUE(next.at_end());
 
-  next = mib.get_next(Oid({1, 1}));
-  EXPECT_EQ(next->first, Oid({1, 2}));
-
-  next = mib.get_next(Oid({1, 2}));
-  EXPECT_EQ(next->first, Oid({2, 1}));
-
-  EXPECT_FALSE(mib.get_next(Oid({2, 1})).has_value());
+  // Seeking from an instance lands strictly after it.
+  EXPECT_EQ(mib.seek_after(Oid({1, 1})).oid(), Oid({1, 2}));
+  EXPECT_EQ(mib.seek_after(Oid({1, 2})).oid(), Oid({2, 1}));
+  EXPECT_TRUE(mib.seek_after(Oid({2, 1})).at_end());
 }
 
 TEST(MibTree, GetNextFromEmptyOidStartsAtFirst) {
   MibTree mib;
   mib.register_constant(Oid({1, 3}), std::int64_t{1});
-  const auto next = mib.get_next(Oid{});
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->first, Oid({1, 3}));
+  const MibTree::Cursor next = mib.seek_after(Oid{});
+  ASSERT_FALSE(next.at_end());
+  EXPECT_EQ(next.oid(), Oid({1, 3}));
 }
 
 TEST(MibTree, UnregisterSubtreeRemovesOnlySubtree) {
@@ -89,7 +95,7 @@ TEST(MibTree, RefreshHookRunsBeforeLookups) {
   });
   EXPECT_EQ(*mib.get(Oid({9, 9})), SnmpValue(std::int64_t{1}));
   EXPECT_EQ(runs, 1);
-  mib.get_next(Oid({9}));
+  mib.seek_after(Oid({9}));
   EXPECT_EQ(runs, 2);
 }
 

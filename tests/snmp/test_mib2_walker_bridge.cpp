@@ -215,6 +215,45 @@ TEST_F(DeployedFixture, BridgeMibExposesLearnedMacs) {
   EXPECT_TRUE(found_l_on_p1);
 }
 
+TEST_F(DeployedFixture, BridgeMibFollowsAMacThatMovesPorts) {
+  sim::Host* l = net->find_host("L");
+  sim::Host* s1 = net->find_host("S1");
+  sim::Switch* sw = net->find_switch("sw0");
+  l->udp().bind(9, [](const sim::Ipv4Packet&) {});
+  const auto sport = s1->udp().allocate_ephemeral_port();
+  s1->udp().send(l->ip(), 9, sport, {}, 10);  // S1 learned on p2
+  sim.run_until(seconds(1));
+
+  const auto s1_mac = s1->find_interface("hme0")->mac();
+  const auto port_of_s1 = [&]() -> std::int64_t {
+    std::optional<WalkResult> got;
+    SubtreeWalker walker(*client);
+    walker.walk(sim::Ipv4Address::parse("10.0.0.100"), "public",
+                mib2::kDot1dTpFdbPort,
+                [&](WalkResult r) { got = std::move(r); });
+    sim.run_until(sim.now() + seconds(5));
+    EXPECT_TRUE(got.has_value() && got->ok);
+    if (!got.has_value()) return 0;
+    for (const auto& vb : got->varbinds) {
+      if (vb.oid == fdb_instance(s1_mac)) {
+        return std::get<std::int64_t>(vb.value);
+      }
+    }
+    return 0;
+  };
+  EXPECT_EQ(port_of_s1(), 2);
+
+  // S1's MAC shows up behind p3: the FDB keeps its size, but the row
+  // must follow the move.
+  const std::uint64_t changes = sw->stats().fdb_changes;
+  sim::EthernetFrame moved;
+  moved.src = s1_mac;
+  moved.dst = l->find_interface("eth0")->mac();
+  sw->on_frame(*sw->find_interface("p3"), sim::make_frame(moved));
+  EXPECT_EQ(sw->stats().fdb_changes, changes + 1);
+  EXPECT_EQ(port_of_s1(), 3);
+}
+
 TEST(DeployErrors, SnmpOnHubRejected) {
   auto specfile = spec::lirtss_testbed();
   // Corrupt the spec: demand SNMP on the hub.
