@@ -2,8 +2,11 @@
 // rates (events/sec, simulated-bytes/sec of wall time).
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "loadgen/generator.h"
 #include "netsim/network.h"
+#include "netsim/packet.h"
 #include "netsim/services.h"
 #include "netsim/simulator.h"
 
@@ -42,6 +45,61 @@ void BM_EventCascade(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventCascade)->Arg(10'000);
+
+void BM_TimeoutScheduleCancel(benchmark::State& state) {
+  // Request/reply with a timeout that the reply cancels, as SnmpClient
+  // and QueryClient arm one per request: every timeout is tombstoned.
+  for (auto _ : state) {
+    Simulator sim;
+    const int n = static_cast<int>(state.range(0));
+    int replies = 0;
+    EventId timeout = 0;
+    std::function<void()> request = [&] {
+      timeout = sim.schedule_after(milliseconds(500), [] {});
+      sim.schedule_after(microseconds(300), [&] {
+        sim.cancel(timeout);
+        if (++replies < n) request();
+      });
+    };
+    request();
+    sim.run_all();
+    benchmark::DoNotOptimize(replies);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TimeoutScheduleCancel)->Arg(10'000);
+
+// Frames handed hop to hop. Each hop's closure captures a Frame, a
+// pointer and a size: the shape of the NIC's serialize-done and the
+// link's propagation closures.
+struct FrameHops {
+  Simulator& sim;
+  std::int64_t remaining;
+  std::uint64_t octets = 0;
+
+  void hop(const Frame& frame, std::size_t size) {
+    sim.schedule_after(microseconds(1), [this, frame, size] {
+      octets += size;
+      if (--remaining > 0) hop(frame, size);
+    });
+  }
+};
+
+void BM_FrameHop(benchmark::State& state) {
+  // range(0) frames in flight at once, 10k hops in all.
+  const int in_flight = static_cast<int>(state.range(0));
+  constexpr std::int64_t kHops = 10'000;
+  const Frame frame = make_frame(EthernetFrame{});
+  for (auto _ : state) {
+    Simulator sim;
+    FrameHops hops{sim, kHops};
+    for (int i = 0; i < in_flight; ++i) hops.hop(frame, frame->wire_size());
+    sim.run_all();
+    benchmark::DoNotOptimize(hops.octets);
+  }
+  state.SetItemsProcessed(state.iterations() * kHops);
+}
+BENCHMARK(BM_FrameHop)->Arg(1)->Arg(64);
 
 void BM_UdpAcrossSwitch(benchmark::State& state) {
   // Simulated seconds of a 1 MB/s stream across a switch, per wall-second.

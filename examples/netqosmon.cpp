@@ -145,6 +145,11 @@ Options parse_args(int argc, char** argv) {
       options.probe = next("--probe");
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      // Not a host name or spec file: taking it as one would only fail
+      // later as "no communication path".
+      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      usage(argv[0]);
     } else {
       positional.push_back(arg);
     }

@@ -1,21 +1,49 @@
 #include "netsim/simulator.h"
 
 #include <stdexcept>
-#include <unordered_map>
 
 namespace netqos::sim {
 
-EventId Simulator::schedule_at(SimTime when, Callback fn) {
+EventId Simulator::schedule_at(SimTime when, Callback&& fn) {
   if (when < now_) {
     throw std::invalid_argument("cannot schedule event in the past");
   }
-  const EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  if (next_seq_ >> (64 - kSlotBits) != 0) {
+    throw std::overflow_error("simulator event sequence exhausted");
+  }
+  std::uint64_t slot = slots_.size();
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (slot > kSlotMask) {
+      throw std::length_error("too many pending simulator events");
+    }
+    slots_.emplace_back();
+  }
+  const EventId key = next_seq_++ << kSlotBits | slot;
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].key = key;
+  heap_push(Entry{when, key});
+  return key;
 }
 
-bool Simulator::cancel(EventId id) { return callbacks_.erase(id) > 0; }
+bool Simulator::cancel(EventId id) {
+  const std::uint64_t slot = id & kSlotMask;
+  if (id == 0 || slot >= slots_.size() || slots_[slot].key != id) {
+    return false;
+  }
+  // The callback dies here, after release() has freed its slot, so its
+  // destructor finds the arena consistent.
+  release(slot);
+  return true;
+}
+
+Simulator::Callback Simulator::release(std::uint64_t slot) {
+  slots_[slot].key = 0;
+  free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  return std::move(slots_[slot].fn);
+}
 
 void Simulator::attach_metrics(obs::MetricsRegistry& registry) {
   // Pull-style: nothing touches the event loop's hot path. The counters
@@ -29,38 +57,65 @@ void Simulator::attach_metrics(obs::MetricsRegistry& registry) {
                                      "Current virtual time of the simulation");
   registry.add_collector([this, &events, &depth, &clock] {
     events.set_total(executed_);
-    depth.set(static_cast<double>(queue_.size()));
+    depth.set(static_cast<double>(heap_.size()));
     clock.set(to_seconds(now_));
   });
 }
 
 void Simulator::run_until(SimTime until) {
-  while (!queue_.empty() && queue_.top().when <= until) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;  // cancelled
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = ev.when;
-    ++executed_;
-    fn();
-  }
+  while (!heap_.empty() && heap_.front().when <= until) dispatch_top();
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = ev.when;
-    ++executed_;
-    fn();
+  while (!heap_.empty()) dispatch_top();
+}
+
+void Simulator::dispatch_top() {
+  const Entry top = heap_.front();
+  heap_pop();
+  const std::uint64_t slot = top.key & kSlotMask;
+  if (slots_[slot].key != top.key) return;  // cancelled
+  // Moved out of the arena before it runs: the callback may schedule
+  // events, and the arena may grow (and move its slots) meanwhile.
+  Callback fn = release(slot);
+  now_ = top.when;
+  ++executed_;
+  fn();
+}
+
+void Simulator::heap_push(Entry entry) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(entry);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
+  heap_[hole] = entry;
+}
+
+void Simulator::heap_pop() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return;
+  // Sift the hole left at the root down, then drop `last` into it.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= size) break;
+    const std::size_t end = first + 4 < size ? first + 4 : size;
+    std::size_t least = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (before(heap_[child], heap_[least])) least = child;
+    }
+    if (!before(heap_[least], last)) break;
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = last;
 }
 
 }  // namespace netqos::sim

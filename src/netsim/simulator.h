@@ -1,14 +1,26 @@
 // Discrete-event simulation core.
 //
-// A single-threaded event loop over a priority queue keyed by
-// (time, sequence). The sequence number makes same-time events fire in
-// scheduling order, which keeps every run deterministic.
+// A single-threaded event loop. Its ordering contract: events fire in
+// time order, events at the same time fire in the order they were
+// scheduled (which keeps every run deterministic), and scheduling in the
+// past throws. The event store below decides what an event costs, not
+// that order; it allocates nothing in the steady state:
+//  - A slot arena (a vector of slots plus a free list) holds each pending
+//    callback next to the key of its event. An EventId is that key, so
+//    cancel() is a compare-and-reset. A cancelled event leaves a tombstone
+//    in the heap that is skipped when it reaches the top.
+//  - A 4-ary min-heap of 16-byte entries {when, seq << 24 | slot} orders
+//    the events. The sequence number fills the key's high bits, so
+//    ordering by (when, key) is ordering by (when, seq).
+//  - Callback keeps closures of up to 48 bytes inline (the NIC's and the
+//    link's frame closures fit) and boxes larger ones on the heap.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -17,27 +29,117 @@
 
 namespace netqos::sim {
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event. Never 0, so 0 can mean "none".
 using EventId = std::uint64_t;
 
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  /// Move-only `void()` callable. A closure of up to kInlineBytes whose
+  /// move cannot throw is stored inline; any other is boxed on the heap.
+  class Callback {
+   public:
+    static constexpr std::size_t kInlineBytes = 48;
+
+    Callback() noexcept = default;
+
+    // Implicit, so that schedule_at(t, [..] { .. }) takes a lambda as is.
+    template <typename F, typename Fn = std::decay_t<F>,
+              typename = std::enable_if_t<!std::is_same_v<Fn, Callback> &&
+                                          std::is_invocable_r_v<void, Fn&>>>
+    Callback(F&& f) {
+      if constexpr (kFitsInline<Fn>) {
+        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+        invoke_ = [](void* self) {
+          (*std::launder(static_cast<Fn*>(self)))();
+        };
+        manage_ = &manage_inline<Fn>;
+      } else {
+        ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+        invoke_ = [](void* self) {
+          (**std::launder(static_cast<Fn**>(self)))();
+        };
+        manage_ = &manage_boxed<Fn>;
+      }
+    }
+
+    Callback(Callback&& other) noexcept { take(other); }
+    Callback& operator=(Callback&& other) noexcept {
+      if (this != &other) {
+        reset();
+        take(other);
+      }
+      return *this;
+    }
+    Callback(const Callback&) = delete;
+    Callback& operator=(const Callback&) = delete;
+    ~Callback() { reset(); }
+
+    void operator()() { invoke_(storage_); }
+
+   private:
+    enum class Op { kRelocate, kDestroy };
+    // kRelocate move-constructs the callable at `to`, then destroys it at
+    // `from`; kDestroy only destroys it.
+    using Manage = void (*)(Op, void* from, void* to) noexcept;
+
+    template <typename Fn>
+    static constexpr bool kFitsInline =
+        sizeof(Fn) <= kInlineBytes &&
+        alignof(Fn) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
+    template <typename Fn>
+    static void manage_inline(Op op, void* from, void* to) noexcept {
+      Fn* fn = std::launder(static_cast<Fn*>(from));
+      if (op == Op::kRelocate) ::new (to) Fn(std::move(*fn));
+      fn->~Fn();
+    }
+
+    template <typename Fn>
+    static void manage_boxed(Op op, void* from, void* to) noexcept {
+      Fn* boxed = *std::launder(static_cast<Fn**>(from));
+      if (op == Op::kRelocate) {
+        ::new (to) Fn*(boxed);
+      } else {
+        delete boxed;
+      }
+    }
+
+    void take(Callback& other) noexcept {
+      if (other.manage_ != nullptr) {
+        other.manage_(Op::kRelocate, other.storage_, storage_);
+      }
+      invoke_ = std::exchange(other.invoke_, nullptr);
+      manage_ = std::exchange(other.manage_, nullptr);
+    }
+
+    void reset() noexcept {
+      if (manage_ != nullptr) manage_(Op::kDestroy, storage_, nullptr);
+      invoke_ = nullptr;
+      manage_ = nullptr;
+    }
+
+    void (*invoke_)(void*) = nullptr;
+    Manage manage_ = nullptr;
+    alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  };
 
   /// Current virtual time.
   SimTime now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `when` (>= now). Returns an id
-  /// usable with cancel().
-  EventId schedule_at(SimTime when, Callback fn);
+  /// usable with cancel(). `fn` is taken by rvalue reference so that a
+  /// lambda converts once, in the caller, and moves once, into the arena.
+  EventId schedule_at(SimTime when, Callback&& fn);
 
   /// Schedules `fn` to run `delay` after now.
-  EventId schedule_after(SimDuration delay, Callback fn) {
+  EventId schedule_after(SimDuration delay, Callback&& fn) {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled. O(1): the event is tombstoned, not removed.
+  /// Cancels a pending event. Returns false if it already ran, was
+  /// cancelled, or is the event running now. O(1): the event is
+  /// tombstoned, not removed.
   bool cancel(EventId id);
 
   /// Runs events until the queue is empty or the time limit is passed.
@@ -51,7 +153,7 @@ class Simulator {
   /// Number of events executed so far.
   std::uint64_t events_executed() const { return executed_; }
   /// Number of events currently pending (including tombstoned ones).
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Exports the event loop's health through `registry` with a pull-style
   /// collector (no per-event cost): events dispatched, current queue
@@ -65,27 +167,41 @@ class Simulator {
   BufferPool& buffer_pool() { return buffer_pool_; }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
-    std::uint64_t seq;
-    EventId id;
-    // Ordered as a min-heap via std::greater.
-    bool operator>(const Event& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
+    std::uint64_t key;  // seq << kSlotBits | slot
   };
+  static_assert(sizeof(Entry) == 16);
+
+  struct Slot {
+    Callback fn;
+    EventId key = 0;  // key of the pending event here; 0 when free
+  };
+
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.key < b.key;
+  }
+  void heap_push(Entry entry);
+  void heap_pop();
+  /// Pops the earliest entry and runs its event unless it was cancelled.
+  void dispatch_top();
+  /// Frees `slot` and hands back the callback it held.
+  Callback release(std::uint64_t slot);
 
   // First member: destroyed last, so frame deleters inside still-queued
   // callbacks can release their payloads during teardown.
   BufferPool buffer_pool_;
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;  // from 1, so no key (and no EventId) is 0
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // Callbacks stored separately so cancel() can drop one in O(1).
-  std::unordered_map<EventId, Callback> callbacks_;
+  std::vector<Entry> heap_;  // 4-ary min-heap by before()
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace netqos::sim

@@ -23,7 +23,7 @@ std::size_t signed_length(std::int64_t value) {
 /// Bytes for an unsigned encoding (leading 0x00 if the MSB is set).
 std::size_t unsigned_length(std::uint64_t value) {
   std::size_t n = 1;
-  while (value >> (n * 8) != 0 && n < 8) ++n;
+  while (n < 8 && value >> (n * 8) != 0) ++n;  // a shift by 64 is UB
   if ((value >> ((n - 1) * 8)) & 0x80) ++n;  // avoid sign-bit ambiguity
   return n;
 }

@@ -122,8 +122,20 @@ TEST(Ber, TimeTicksAndGauge) {
 }
 
 TEST(Ber, Counter64RoundTrip) {
-  const Counter64 big{0xffffffffffffffffULL};
-  EXPECT_EQ(decode_value(encode_value(big)), SnmpValue(big));
+  // Values that need all eight content bytes, or a ninth for the sign:
+  // the encoder's length loop must stop at eight without shifting by 64.
+  const struct {
+    std::uint64_t value;
+    std::uint8_t content_length;
+  } cases[] = {{(std::uint64_t{1} << 56) - 1, 8},
+               {std::uint64_t{1} << 56, 8},
+               {std::uint64_t{1} << 63, 9},
+               {0xffffffffffffffffULL, 9}};
+  for (const auto& c : cases) {
+    const Bytes wire = encode_value(Counter64{c.value});
+    EXPECT_EQ(wire[1], c.content_length) << c.value;
+    EXPECT_EQ(decode_value(wire), SnmpValue(Counter64{c.value})) << c.value;
+  }
 }
 
 TEST(Ber, IpAddressEncoding) {

@@ -71,7 +71,8 @@ TEST(BerView, OidViewPrefixRowAndCompare) {
   const Oid cell = mib2::if_column(mib2::kIfInOctetsColumn, 7);
   Message m = poll_response();
   m.pdu.varbinds = {{cell, Counter32{1}}};
-  MessageHeadView head = decode_message_head(encode_message(m));
+  const Bytes wire = encode_message(m);  // the views below borrow it
+  MessageHeadView head = decode_message_head(wire);
   VarBindView vb;
   ASSERT_TRUE(next_varbind(head.varbinds, vb));
 
@@ -88,7 +89,8 @@ TEST(BerView, OidViewPrefixRowAndCompare) {
 
 TEST(BerView, ValueViewTypedAccessors) {
   Message m = poll_response();
-  MessageHeadView head = decode_message_head(encode_message(m));
+  const Bytes wire = encode_message(m);  // the views below borrow it
+  MessageHeadView head = decode_message_head(wire);
   VarBindView vb;
   ASSERT_TRUE(next_varbind(head.varbinds, vb));  // TimeTicks
   EXPECT_EQ(vb.value.to_unsigned(), 123456u);
