@@ -6,9 +6,10 @@
 namespace netqos::sim {
 
 std::string MacAddress::to_string() const {
+  const auto o = octets();
   char buf[18];
-  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0],
-                octets_[1], octets_[2], octets_[3], octets_[4], octets_[5]);
+  std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", o[0], o[1],
+                o[2], o[3], o[4], o[5]);
   return buf;
 }
 

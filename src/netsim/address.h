@@ -3,41 +3,53 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 
 namespace netqos::sim {
 
-/// 48-bit Ethernet MAC address.
+/// 48-bit Ethernet MAC address, kept as one word: the six octets packed
+/// big-endian into the low 48 bits of a uint64_t. Comparing the words
+/// orders addresses as their octets compare, and equality, is_broadcast
+/// and the hash are one-word operations.
 class MacAddress {
  public:
   constexpr MacAddress() = default;
-  explicit constexpr MacAddress(std::array<std::uint8_t, 6> octets)
-      : octets_(octets) {}
+  explicit constexpr MacAddress(std::array<std::uint8_t, 6> octets) {
+    for (const std::uint8_t octet : octets) value_ = value_ << 8 | octet;
+  }
 
   /// Locally administered unicast MAC derived from a small integer id.
   static constexpr MacAddress from_id(std::uint32_t id) {
-    return MacAddress({0x02, 0x00,
-                       static_cast<std::uint8_t>(id >> 24),
-                       static_cast<std::uint8_t>(id >> 16),
-                       static_cast<std::uint8_t>(id >> 8),
-                       static_cast<std::uint8_t>(id)});
+    return MacAddress(std::uint64_t{0x02} << 40 | id);
   }
 
-  static constexpr MacAddress broadcast() {
-    return MacAddress({0xff, 0xff, 0xff, 0xff, 0xff, 0xff});
+  static constexpr MacAddress broadcast() { return MacAddress(kAllOnes); }
+
+  constexpr bool is_broadcast() const { return value_ == kAllOnes; }
+
+  /// The six octets, in wire order.
+  constexpr std::array<std::uint8_t, 6> octets() const {
+    std::array<std::uint8_t, 6> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::uint8_t>(value_ >> (8 * (5 - i)));
+    }
+    return out;
   }
-
-  constexpr bool is_broadcast() const { return *this == broadcast(); }
-
-  const std::array<std::uint8_t, 6>& octets() const { return octets_; }
+  /// The packed 48-bit value (octets()[0] in bits 40-47).
+  constexpr std::uint64_t value() const { return value_; }
   std::string to_string() const;
 
   constexpr auto operator<=>(const MacAddress&) const = default;
 
  private:
-  std::array<std::uint8_t, 6> octets_{};
+  static constexpr std::uint64_t kAllOnes = 0xffff'ffff'ffff;
+
+  explicit constexpr MacAddress(std::uint64_t value) : value_(value) {}
+
+  std::uint64_t value_ = 0;
 };
 
 /// IPv4 address as a host-order 32-bit value.
@@ -68,9 +80,7 @@ class Ipv4Address {
 template <>
 struct std::hash<netqos::sim::MacAddress> {
   std::size_t operator()(const netqos::sim::MacAddress& m) const noexcept {
-    std::size_t h = 0;
-    for (auto o : m.octets()) h = h * 131 + o;
-    return h;
+    return std::hash<std::uint64_t>{}(m.value());
   }
 };
 

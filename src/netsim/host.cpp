@@ -18,7 +18,7 @@ Nic& Host::add_host_interface(std::string name, BitsPerSecond speed,
     // hosts in the paper's model (Fig. 1, node B) still have one stack.
     udp_ = std::make_unique<UdpStack>(
         sim_, ip, mac, arp_,
-        [&nic](Frame frame) { return nic.transmit(frame); });
+        [&nic](Frame frame) { return nic.transmit(std::move(frame)); });
   }
   return nic;
 }

@@ -47,6 +47,10 @@ void Link::set_up(bool up) {
 }
 
 void Link::set_loss(double probability, std::uint64_t seed) {
+  // Written so that NaN fails too: every comparison with NaN is false.
+  if (!(probability >= 0.0 && probability <= 1.0)) {
+    throw std::invalid_argument("link loss probability must be in [0, 1]");
+  }
   loss_probability_ = probability;
   loss_rng_ = Xoshiro256(seed);
 }

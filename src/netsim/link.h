@@ -44,7 +44,8 @@ class Link {
     observers_.push_back(std::move(observer));
   }
 
-  /// Random frame loss in [0, 1]; deterministic under `seed`.
+  /// Random frame loss in [0, 1]; deterministic under `seed`. Throws
+  /// std::invalid_argument for NaN or a probability outside [0, 1].
   void set_loss(double probability, std::uint64_t seed = 0x10553);
   double loss() const { return loss_probability_; }
 

@@ -32,19 +32,20 @@ void Nic::start_transmission() {
     return;
   }
   transmitting_ = true;
-  Frame frame = tx_queue_.front();
+  Frame frame = std::move(tx_queue_.front());
   tx_queue_.pop_front();
   const std::size_t octets = frame->wire_size();
   const SimDuration serialize = transmission_delay(octets, speed_);
-  sim_.schedule_after(serialize, [this, frame = std::move(frame), octets] {
-    counters_.count_out(octets);
-    total_out_octets_ += octets;
-    if (link_ != nullptr) link_->carry(*this, frame);
-    start_transmission();  // drain the queue
-  });
+  sim_.schedule_after(
+      serialize, [this, frame = std::move(frame), octets]() mutable {
+        counters_.count_out(octets);
+        total_out_octets_ += octets;
+        if (link_ != nullptr) link_->carry(*this, std::move(frame));
+        start_transmission();  // drain the queue
+      });
 }
 
-void Nic::deliver(Frame frame) {
+void Nic::deliver(const Frame& frame) {
   const std::size_t octets = frame->wire_size();
   const bool addressed_to_us =
       promiscuous_ || frame->dst == mac_ || frame->dst.is_broadcast();

@@ -64,7 +64,7 @@ class Nic {
   bool transmit(Frame frame);
 
   /// Called by the link when a frame arrives after propagation.
-  void deliver(Frame frame);
+  void deliver(const Frame& frame);
 
   const InterfaceCounters& counters() const { return counters_; }
   /// Octets observed on the wire but filtered by MAC (diagnostic only —

@@ -9,7 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "common/buffer_pool.h"
 #include "common/byte_buffer.h"
@@ -75,21 +75,65 @@ struct EthernetFrame {
 };
 
 /// Frames are immutable once sent; hub broadcast shares one instance.
-using Frame = std::shared_ptr<const EthernetFrame>;
+///
+/// A Frame is an 8-byte handle to one heap node holding the frame, the
+/// pool its payload returns to (null for make_frame), and a reference
+/// count. The count is a plain integer, not an atomic: the simulator is
+/// single-threaded and nothing in src/ starts a thread, so a frame and
+/// all its handles stay on one thread. That saves what a shared_ptr
+/// costs on every hop: a separate control block and a lock-prefixed
+/// update per copy and per drop. A hop moves its handle along; a hub or
+/// switch copies one per port it sends the frame out of.
+class Frame {
+ public:
+  Frame() noexcept = default;
+  Frame(const Frame& other) noexcept : node_(other.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  Frame(Frame&& other) noexcept : node_(std::exchange(other.node_, nullptr)) {}
+  Frame& operator=(Frame other) noexcept {
+    std::swap(node_, other.node_);
+    return *this;
+  }
+  ~Frame() {
+    if (node_ != nullptr && --node_->refs == 0) destroy(node_);
+  }
+
+  const EthernetFrame& operator*() const { return node_->frame; }
+  const EthernetFrame* operator->() const { return &node_->frame; }
+  explicit operator bool() const { return node_ != nullptr; }
+
+ private:
+  struct Node {
+    EthernetFrame frame;
+    BufferPool* pool;  ///< receives the payload on the last drop, if set
+    std::uint32_t refs;
+  };
+
+  friend Frame make_frame(EthernetFrame frame);
+  friend Frame make_pooled_frame(EthernetFrame frame, BufferPool* pool);
+
+  explicit Frame(Node* node) noexcept : node_(node) {}
+
+  static void destroy(Node* node) noexcept {
+    if (node->pool != nullptr) {
+      node->pool->release(std::move(node->frame.ip.udp.payload));
+    }
+    delete node;
+  }
+
+  Node* node_ = nullptr;
+};
 
 inline Frame make_frame(EthernetFrame frame) {
-  return std::make_shared<const EthernetFrame>(std::move(frame));
+  return Frame(new Frame::Node{std::move(frame), nullptr, 1});
 }
 
 /// Like make_frame, but the payload buffer returns to `pool` when the
 /// last reference drops — closing the recycle loop for poll traffic.
 /// `pool` must outlive every frame (the simulator owns both).
 inline Frame make_pooled_frame(EthernetFrame frame, BufferPool* pool) {
-  auto* raw = new EthernetFrame(std::move(frame));
-  return Frame(raw, [pool](EthernetFrame* f) {
-    pool->release(std::move(f->ip.udp.payload));
-    delete f;
-  });
+  return Frame(new Frame::Node{std::move(frame), pool, 1});
 }
 
 }  // namespace netqos::sim

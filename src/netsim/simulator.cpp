@@ -24,7 +24,14 @@ EventId Simulator::schedule_at(SimTime when, Callback&& fn) {
   const EventId key = next_seq_++ << kSlotBits | slot;
   slots_[slot].fn = std::move(fn);
   slots_[slot].key = key;
-  heap_push(Entry{when, key});
+  if (root_spent_) {
+    // The first event a callback schedules takes the running event's
+    // heap entry: one sift-down instead of a pop and a push.
+    root_spent_ = false;
+    sift_down(Entry{when, key});
+  } else {
+    heap_push(Entry{when, key});
+  }
   return key;
 }
 
@@ -57,7 +64,7 @@ void Simulator::attach_metrics(obs::MetricsRegistry& registry) {
                                      "Current virtual time of the simulation");
   registry.add_collector([this, &events, &depth, &clock] {
     events.set_total(executed_);
-    depth.set(static_cast<double>(heap_.size()));
+    depth.set(static_cast<double>(pending()));
     clock.set(to_seconds(now_));
   });
 }
@@ -73,15 +80,25 @@ void Simulator::run_all() {
 
 void Simulator::dispatch_top() {
   const Entry top = heap_.front();
-  heap_pop();
   const std::uint64_t slot = top.key & kSlotMask;
-  if (slots_[slot].key != top.key) return;  // cancelled
+  if (slots_[slot].key != top.key) {
+    // Cancelled, or a spent root (see simulator.h). Once it is popped,
+    // no later schedule_at may take the new root as spent.
+    root_spent_ = false;
+    heap_pop();
+    return;
+  }
   // Moved out of the arena before it runs: the callback may schedule
   // events, and the arena may grow (and move its slots) meanwhile.
   Callback fn = release(slot);
   now_ = top.when;
   ++executed_;
+  root_spent_ = true;
   fn();
+  if (root_spent_) {  // the callback scheduled nothing
+    root_spent_ = false;
+    heap_pop();
+  }
 }
 
 void Simulator::heap_push(Entry entry) {
@@ -99,9 +116,12 @@ void Simulator::heap_push(Entry entry) {
 void Simulator::heap_pop() {
   const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(last);
+}
+
+void Simulator::sift_down(Entry entry) {
+  // Sift a hole from the root down, then drop `entry` into it.
   const std::size_t size = heap_.size();
-  if (size == 0) return;
-  // Sift the hole left at the root down, then drop `last` into it.
   std::size_t hole = 0;
   for (;;) {
     const std::size_t first = 4 * hole + 1;
@@ -111,11 +131,11 @@ void Simulator::heap_pop() {
     for (std::size_t child = first + 1; child < end; ++child) {
       if (before(heap_[child], heap_[least])) least = child;
     }
-    if (!before(heap_[least], last)) break;
+    if (!before(heap_[least], entry)) break;
     heap_[hole] = heap_[least];
     hole = least;
   }
-  heap_[hole] = last;
+  heap_[hole] = entry;
 }
 
 }  // namespace netqos::sim

@@ -12,6 +12,19 @@
 //  - A 4-ary min-heap of 16-byte entries {when, seq << 24 | slot} orders
 //    the events. The sequence number fills the key's high bits, so
 //    ordering by (when, key) is ordering by (when, seq).
+//  - Dispatch leaves the running event's entry at the root while its
+//    callback runs. Most callbacks schedule a follow-on (a frame's next
+//    hop, a timer's next tick), and the first such schedule_at overwrites
+//    that spent root and sifts it down: one sift instead of a pop and a
+//    push. If the callback schedules nothing, the root is popped when it
+//    returns. A spent root is flagged, so pending() never counts it, and
+//    its slot no longer holds its key, so a dispatch that reaches it pops
+//    it like a tombstone and clears the flag. A run_until or run_all
+//    called from inside a callback disposes of it that way; a root left
+//    spent by a callback that threw goes the same way, or is overwritten
+//    by the next schedule_at. Order cannot change: (when, seq) is a
+//    strict total order, so the heap's layout never decides which entry
+//    is least.
 //  - Callback keeps closures of up to 48 bytes inline (the NIC's and the
 //    link's frame closures fit) and boxes larger ones on the heap.
 #pragma once
@@ -152,8 +165,9 @@ class Simulator {
 
   /// Number of events executed so far.
   std::uint64_t events_executed() const { return executed_; }
-  /// Number of events currently pending (including tombstoned ones).
-  std::size_t pending() const { return heap_.size(); }
+  /// Number of events currently pending (including tombstoned ones, not
+  /// counting the event whose callback is running).
+  std::size_t pending() const { return heap_.size() - (root_spent_ ? 1 : 0); }
 
   /// Exports the event loop's health through `registry` with a pull-style
   /// collector (no per-event cost): events dispatched, current queue
@@ -187,7 +201,11 @@ class Simulator {
   }
   void heap_push(Entry entry);
   void heap_pop();
-  /// Pops the earliest entry and runs its event unless it was cancelled.
+  /// Puts `entry` at the root, in place of what is there, and sifts it
+  /// down.
+  void sift_down(Entry entry);
+  /// Runs the earliest event, or pops it if it was cancelled or is a
+  /// spent root.
   void dispatch_top();
   /// Frees `slot` and hands back the callback it held.
   Callback release(std::uint64_t slot);
@@ -200,6 +218,9 @@ class Simulator {
   std::uint64_t next_seq_ = 1;  // from 1, so no key (and no EventId) is 0
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;  // 4-ary min-heap by before()
+  // Set while heap_'s root is a spent entry: its callback is running and
+  // has scheduled nothing yet, or it threw.
+  bool root_spent_ = false;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -7,7 +7,7 @@ void Switch::enable_management(Ipv4Address ip, MacAddress mac,
   management_mac_ = mac;
   management_ = std::make_unique<UdpStack>(
       sim_, ip, mac, arp,
-      [this](Frame frame) { return send_from_management(frame); });
+      [this](Frame frame) { return send_from_management(std::move(frame)); });
 }
 
 void Switch::on_frame(Nic& ingress, const Frame& frame) {
@@ -52,7 +52,7 @@ Nic* Switch::learned_port(MacAddress mac) {
 
 bool Switch::send_from_management(Frame frame) {
   auto it = fdb_.find(frame->dst);
-  if (it != fdb_.end()) return it->second->transmit(frame);
+  if (it != fdb_.end()) return it->second->transmit(std::move(frame));
   flood(nullptr, frame);
   return true;
 }

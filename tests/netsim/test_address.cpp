@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <unordered_set>
+
+#include "common/rng.h"
 
 namespace netqos::sim {
 namespace {
@@ -35,6 +39,25 @@ TEST(MacAddress, Comparable) {
   EXPECT_EQ(MacAddress::from_id(5), MacAddress::from_id(5));
   EXPECT_NE(MacAddress::from_id(5), MacAddress::from_id(6));
   EXPECT_LT(MacAddress::from_id(5), MacAddress::from_id(6));
+  // Addresses order as their octet arrays do, lexicographically. Octets
+  // come from a small alphabet so that pairs often share a prefix.
+  Xoshiro256 rng(7);
+  auto random_octets = [&rng] {
+    std::array<std::uint8_t, 6> octets{};
+    for (auto& octet : octets) {
+      octet = static_cast<std::uint8_t>(0x7f + rng.uniform_int(0, 2));
+    }
+    return octets;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const auto x = random_octets();
+    const auto y = random_octets();
+    const MacAddress a(x);
+    const MacAddress b(y);
+    ASSERT_EQ(a.octets(), x);  // round trip
+    ASSERT_EQ(a <=> b, x <=> y) << a.to_string() << " vs " << b.to_string();
+    ASSERT_EQ(a == b, x == y);
+  }
 }
 
 TEST(Ipv4Address, ParseValid) {

@@ -1,6 +1,10 @@
 // NIC + link level behaviour: serialization delay, counters, MAC
-// filtering, queue overflow.
+// filtering, queue overflow, frame handle lifetime.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include "netsim/host.h"
 #include "netsim/link.h"
@@ -36,6 +40,65 @@ TEST(Packet, MaxUdpPayloadMatchesMtu) {
   Ipv4Packet packet;
   packet.udp.padding = kMaxUdpPayloadBytes;
   EXPECT_EQ(packet.wire_size(), kIpMtuBytes);
+}
+
+TEST(FrameHandle, NodeLivesUntilTheLastHandleDrops) {
+  BufferPool pool;
+  {
+    EthernetFrame raw;
+    raw.ip.udp.payload = Bytes(32, 0xab);
+    Frame a = make_pooled_frame(std::move(raw), &pool);
+    const EthernetFrame* node = &*a;
+    Frame b = a;
+    Frame c = std::move(b);
+    Frame d;
+    d = c;
+    Frame& also_d = d;
+    d = also_d;             // self copy-assignment
+    d = std::move(also_d);  // self move-assignment
+    Frame e;
+    e = std::move(a);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(&*c, node);
+    EXPECT_EQ(&*d, node);
+    EXPECT_EQ(&*e, node);
+    c = Frame();
+    d = Frame();
+    EXPECT_EQ(pool.stats().releases, 0u);
+    EXPECT_EQ(e->ip.udp.payload.size(), 32u);
+  }
+  // The payload went back to the pool exactly once.
+  EXPECT_EQ(pool.stats().releases, 1u);
+  EXPECT_EQ(pool.pooled(), 1u);
+}
+
+TEST(FrameHandle, HubFloodReleasesThePayloadOnce) {
+  // One frame into a hub goes out of every other port: N - 1 handles to
+  // one node, one payload returned to the pool.
+  constexpr int kPorts = 6;
+  Simulator sim;
+  Network net(sim);
+  Hub& hub = net.add_hub("H");
+  std::vector<Host*> hosts;
+  for (std::uint8_t i = 0; i < kPorts; ++i) {
+    const std::string n = std::to_string(i);
+    Host& h = net.add_host("S" + n);
+    net.add_host_interface(h, "eth0", mbps(10), Ipv4Address(10, 0, 0, i + 1));
+    net.add_port(hub, "p" + n, mbps(10));
+    net.connect(h, "eth0", hub, "p" + n);
+    hosts.push_back(&h);
+  }
+  int received = 0;
+  hosts[1]->udp().bind(1234, [&](const Ipv4Packet&) { ++received; });
+  ASSERT_TRUE(hosts[0]->udp().send(hosts[1]->ip(), 1234, 5555, Bytes(32, 1)));
+  sim.run_all();
+  EXPECT_EQ(received, 1);
+  for (int i = 2; i < kPorts; ++i) {
+    EXPECT_GT(hosts[i]->find_interface("eth0")->filtered_octets(), 0u) << i;
+  }
+  EXPECT_EQ(sim.buffer_pool().stats().releases, 1u);
+  EXPECT_EQ(sim.buffer_pool().pooled(), 1u);
 }
 
 /// Two hosts on a direct cable.
@@ -133,6 +196,25 @@ TEST_F(TwoHostFixture, QueueOverflowDropsTail) {
   EXPECT_EQ(na->counters().if_out_discards, 5u);
 }
 
+TEST_F(TwoHostFixture, UnpooledFrameIsFreedWithoutTouchingThePool) {
+  int received = 0;
+  b->udp().bind(1234, [&](const Ipv4Packet& p) {
+    ++received;
+    EXPECT_EQ(p.udp.payload.size(), 32u);
+  });
+  EthernetFrame frame;
+  frame.src = a->find_interface("eth0")->mac();
+  frame.dst = b->find_interface("eth0")->mac();
+  frame.ip.src = a->ip();
+  frame.ip.dst = b->ip();
+  frame.ip.udp.dst_port = 1234;
+  frame.ip.udp.payload = Bytes(32, 0xab);
+  ASSERT_TRUE(a->find_interface("eth0")->transmit(make_frame(frame)));
+  sim.run_all();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(sim.buffer_pool().stats().releases, 0u);
+}
+
 TEST_F(TwoHostFixture, EphemeralPortsSkipBoundPorts) {
   const std::uint16_t p1 = a->udp().allocate_ephemeral_port();
   a->udp().bind(p1, [](const Ipv4Packet&) {});
@@ -153,6 +235,26 @@ TEST(LinkRules, DoubleConnectThrows) {
   net.add_host_interface(c, "eth0", mbps(10), Ipv4Address::parse("10.0.0.3"));
   net.connect(a, "eth0", b, "eth0");
   EXPECT_THROW(net.connect(a, "eth0", c, "eth0"), std::invalid_argument);
+}
+
+TEST(LinkRules, LossOutsideUnitIntervalThrows) {
+  Simulator sim;
+  Network net(sim);
+  Host& a = net.add_host("A");
+  Host& b = net.add_host("B");
+  net.add_host_interface(a, "eth0", mbps(10), Ipv4Address::parse("10.0.0.1"));
+  net.add_host_interface(b, "eth0", mbps(10), Ipv4Address::parse("10.0.0.2"));
+  Link& link = net.connect(a, "eth0", b, "eth0");
+  for (const double bad : {std::nan(""), -0.1, 1.5,
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(link.set_loss(bad), std::invalid_argument);
+    EXPECT_EQ(link.loss(), 0.0);
+  }
+  link.set_loss(1.0);
+  EXPECT_EQ(link.loss(), 1.0);
+  link.set_loss(0.0);
+  EXPECT_EQ(link.loss(), 0.0);
 }
 
 TEST(LinkRules, UnknownInterfaceThrows) {

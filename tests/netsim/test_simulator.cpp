@@ -6,11 +6,13 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "netsim/packet.h"
+#include "obs/metrics.h"
 
 namespace netqos::sim {
 namespace {
@@ -196,6 +198,83 @@ TEST(Simulator, CallbackSchedulingManyEventsKeepsItsCaptures) {
   }
   EXPECT_EQ(order, expected);
   EXPECT_EQ(sim.events_executed(), kChildren + 1u);
+}
+
+TEST(Simulator, PendingExcludesTheRunningEvent) {
+  // The running event's heap entry stays at the root until the callback
+  // schedules something or returns; neither pending() nor the exported
+  // queue depth may count it.
+  Simulator sim;
+  obs::MetricsRegistry registry;
+  sim.attach_metrics(registry);
+  auto depth = [&registry] {
+    registry.collect();
+    return registry.find_gauge("netqos_sim_queue_depth")->value();
+  };
+  std::vector<std::size_t> pending;
+  std::vector<double> depths;
+  auto record = [&] {
+    pending.push_back(sim.pending());
+    depths.push_back(depth());
+  };
+  sim.schedule_at(seconds(1), [&] {
+    record();  // the later event only
+    sim.schedule_after(seconds(1), [] {});
+    record();  // took the running event's entry
+    sim.schedule_after(seconds(1), [] {});
+    record();
+  });
+  sim.schedule_at(seconds(5), [&] { record(); });
+  sim.run_until(seconds(4));
+  record();
+  sim.run_all();
+  EXPECT_EQ(pending, (std::vector<std::size_t>{1, 2, 3, 1, 0}));
+  EXPECT_EQ(depths, (std::vector<double>{1, 2, 3, 1, 0}));
+}
+
+TEST(Simulator, ThrowingCallbackLeavesLaterEventsInOrder) {
+  // One callback throws before scheduling anything, one after. Either
+  // way its entry must not count as pending, and the rest, with an event
+  // scheduled between the runs, must run in order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(seconds(1), [&] {
+    order.push_back(1);
+    throw std::runtime_error("before scheduling");
+  });
+  sim.schedule_at(seconds(2), [&] {
+    order.push_back(2);
+    sim.schedule_at(seconds(3), [&] { order.push_back(3); });
+    throw std::runtime_error("after scheduling");
+  });
+  sim.schedule_at(seconds(5), [&] { order.push_back(5); });
+  EXPECT_THROW(sim.run_all(), std::runtime_error);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.schedule_at(seconds(4), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_THROW(sim.run_all(), std::runtime_error);
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+TEST(Simulator, NestedRunUntilRunsEveryEvent) {
+  // Event 0 runs the loop from inside its callback, then schedules event
+  // 2. The nested loop must pop event 0's spent entry; left in place, the
+  // next schedule_at would overwrite event 1 as if it were that entry.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(seconds(1), [&] {
+    order.push_back(0);
+    sim.run_until(seconds(1));
+    sim.schedule_at(seconds(3), [&] { order.push_back(2); });
+  });
+  sim.schedule_at(seconds(5), [&] { order.push_back(1); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 // Counts the calls and the destruction of the one live (not moved-from)
