@@ -4,10 +4,12 @@
 // 10k interfaces, partitions the poll plan across N poller shards
 // (interface-weighted), and polls each agent's whole ifTable as one
 // batched GETBULK sweep over the zero-copy decode path. Reports the
-// poll-round p95 from span telemetry and the bounded per-interface
-// memory of the merged stats store, then gates on the tentpole numbers:
-// near-linear shard scaling (>= 3.5x at 4 shards over the 10k fabric)
-// and a flat per-interface footprint across fabric sizes.
+// poll-round p95 from span telemetry, the bounded per-interface memory
+// of the merged stats store and the SNMP payload octets (request plus
+// response) each agent poll puts on the wire, then gates on the
+// tentpole numbers: near-linear shard scaling (>= 3.5x at 4 shards over
+// the 10k fabric) and a flat per-interface footprint across fabric
+// sizes. The SNMP octets are reported, not gated.
 //
 // CLI:
 //   scale_monitor [--interfaces N[,N...]] [--shards S[,S...]]
@@ -44,6 +46,7 @@ struct Row {
   std::size_t rounds = 0;
   double poll_round_p95_s = 0;   // simulated seconds, span telemetry
   double rss_per_interface = 0;  // merged stats store bytes / interface
+  double snmp_bytes_per_poll = 0;  // request + response payload octets
   double wall_ms = 0;
 };
 
@@ -120,6 +123,19 @@ Row run(std::size_t target_interfaces, int shards, double sim_seconds,
   row.rss_per_interface =
       static_cast<double>(dist.stats_db().history().footprint_bytes()) /
       static_cast<double>(row.interfaces);
+  // The monitor's own cost to the network it watches. Under full
+  // telemetry the shards share one registry, so their clients' byte
+  // counters alias and are not summed.
+  if (!full_telemetry) {
+    std::uint64_t snmp_bytes = 0;
+    for (const auto& worker : dist.workers()) {
+      const snmp::ClientStats client = worker->client_stats();
+      snmp_bytes += client.payload_bytes_sent + client.payload_bytes_received;
+    }
+    row.snmp_bytes_per_poll =
+        static_cast<double>(snmp_bytes) /
+        static_cast<double>(std::max<std::uint64_t>(row.polls, 1));
+  }
   row.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   return row;
@@ -183,19 +199,20 @@ int main(int argc, char** argv) {
   std::printf("%.0f simulated seconds, 2 s polls, %s, one watched path\n\n",
               sim_seconds,
               batch ? "batched GETBULK table polls" : "per-varbind GETs");
-  std::printf("%11s %8s %7s %9s %8s %15s %13s %10s\n", "interfaces",
+  std::printf("%11s %8s %7s %9s %8s %15s %13s %12s %10s\n", "interfaces",
               "agents", "shards", "polls", "rounds", "round p95 (s)",
-              "store B/intf", "wall ms");
+              "store B/intf", "SNMP B/poll", "wall ms");
 
   std::vector<Row> rows;
   for (const std::size_t target : interface_targets) {
     for (const std::size_t shards : shard_counts) {
       const Row row = run(target, static_cast<int>(shards), sim_seconds,
                           batch, /*full_telemetry=*/false);
-      std::printf("%11zu %8zu %7d %9llu %8zu %15.4f %13.1f %10.2f\n",
+      std::printf("%11zu %8zu %7d %9llu %8zu %15.4f %13.1f %12.1f %10.2f\n",
                   row.interfaces, row.agents, row.shards,
                   static_cast<unsigned long long>(row.polls), row.rounds,
-                  row.poll_round_p95_s, row.rss_per_interface, row.wall_ms);
+                  row.poll_round_p95_s, row.rss_per_interface,
+                  row.snmp_bytes_per_poll, row.wall_ms);
       rows.push_back(row);
     }
   }
@@ -205,7 +222,8 @@ int main(int argc, char** argv) {
     out << "{\"bench\":\"scale_monitor\",\"interfaces\":" << row.interfaces
         << ",\"shards\":" << row.shards
         << ",\"poll_round_p95\":" << row.poll_round_p95_s
-        << ",\"rss_per_interface\":" << row.rss_per_interface << "}\n";
+        << ",\"rss_per_interface\":" << row.rss_per_interface
+        << ",\"snmp_bytes_per_poll\":" << row.snmp_bytes_per_poll << "}\n";
   }
   std::printf("\nwrote %zu measurements to %s\n", rows.size(),
               jsonl_path.c_str());

@@ -1,5 +1,7 @@
 #include "snmp/ber.h"
 
+#include <limits>
+
 namespace netqos::snmp::ber {
 namespace {
 
@@ -253,6 +255,23 @@ std::uint64_t read_unsigned_content(ByteReader& in, std::size_t length) {
   return value;
 }
 
+std::int32_t read_integer32_content(ByteReader& in, std::size_t length) {
+  const std::int64_t value = read_integer_content(in, length);
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw BerError("INTEGER exceeds 32 bits");
+  }
+  return static_cast<std::int32_t>(value);
+}
+
+std::uint32_t read_unsigned32_content(ByteReader& in, std::size_t length) {
+  const std::uint64_t value = read_unsigned_content(in, length);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw BerError("32-bit unsigned value exceeds 32 bits");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 Oid read_oid_content(ByteReader& in, std::size_t length) {
   if (length == 0) throw BerError("empty OID");
   const std::size_t end = in.position() + length;
@@ -298,14 +317,11 @@ SnmpValue read_value(ByteReader& in) {
       return IpAddressValue{in.get_u32()};
     }
     case kTagCounter32:
-      return Counter32{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
+      return Counter32{read_unsigned32_content(in, length)};
     case kTagGauge32:
-      return Gauge32{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
+      return Gauge32{read_unsigned32_content(in, length)};
     case kTagTimeTicks:
-      return TimeTicks{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
+      return TimeTicks{read_unsigned32_content(in, length)};
     case kTagCounter64:
       return Counter64{read_unsigned_content(in, length)};
     case 0x80:
@@ -318,9 +334,9 @@ SnmpValue read_value(ByteReader& in) {
   }
 }
 
-std::int64_t read_integer(ByteReader& in) {
+std::int32_t read_integer32(ByteReader& in) {
   const std::size_t length = expect_header(in, kTagInteger);
-  return read_integer_content(in, length);
+  return read_integer32_content(in, length);
 }
 
 std::string read_octet_string(ByteReader& in) {

@@ -75,13 +75,20 @@ std::size_t expect_header(ByteReader& in, std::uint8_t tag);
 
 std::int64_t read_integer_content(ByteReader& in, std::size_t length);
 std::uint64_t read_unsigned_content(ByteReader& in, std::size_t length);
+/// INTEGER content that must fit Integer32; throws BerError otherwise.
+std::int32_t read_integer32_content(ByteReader& in, std::size_t length);
+/// Counter32/Gauge32/TimeTicks content; throws BerError past 2^32 - 1
+/// rather than truncating.
+std::uint32_t read_unsigned32_content(ByteReader& in, std::size_t length);
 Oid read_oid_content(ByteReader& in, std::size_t length);
 
 /// Reads one complete value TLV of any supported type.
 SnmpValue read_value(ByteReader& in);
 
-/// Reads an INTEGER TLV.
-std::int64_t read_integer(ByteReader& in);
+/// Reads an INTEGER TLV that must fit Integer32, as every INTEGER in an
+/// SNMP message envelope does (version, request-id, error-status,
+/// error-index, the v1 trap codes).
+std::int32_t read_integer32(ByteReader& in);
 /// Reads an OCTET STRING TLV.
 std::string read_octet_string(ByteReader& in);
 /// Reads an OBJECT IDENTIFIER TLV.

@@ -46,11 +46,11 @@ bool is_message_pdu_tag(std::uint8_t tag) {
   return false;
 }
 
-std::int64_t read_integer(BerReader& in) {
+std::int32_t read_integer32(BerReader& in) {
   const std::span<const std::uint8_t> content =
       in.expect_tlv(ber::kTagInteger);
   ByteReader reader(content);
-  return ber::read_integer_content(reader, content.size());
+  return ber::read_integer32_content(reader, content.size());
 }
 
 }  // namespace
@@ -177,14 +177,11 @@ SnmpValue ValueView::to_value() const {
       return IpAddressValue{reader.get_u32()};
     }
     case ber::kTagCounter32:
-      return Counter32{static_cast<std::uint32_t>(
-          ber::read_unsigned_content(reader, content.size()))};
+      return Counter32{ber::read_unsigned32_content(reader, content.size())};
     case ber::kTagGauge32:
-      return Gauge32{static_cast<std::uint32_t>(
-          ber::read_unsigned_content(reader, content.size()))};
+      return Gauge32{ber::read_unsigned32_content(reader, content.size())};
     case ber::kTagTimeTicks:
-      return TimeTicks{static_cast<std::uint32_t>(
-          ber::read_unsigned_content(reader, content.size()))};
+      return TimeTicks{ber::read_unsigned32_content(reader, content.size())};
     case ber::kTagCounter64:
       return Counter64{ber::read_unsigned_content(reader, content.size())};
     case 0x80:
@@ -201,7 +198,7 @@ MessageHeadView decode_message_head(std::span<const std::uint8_t> wire) {
   BerReader message(in.expect_tlv(ber::kTagSequence));
 
   MessageHeadView head;
-  head.version = static_cast<SnmpVersion>(read_integer(message));
+  head.version = static_cast<SnmpVersion>(read_integer32(message));
   if (head.version != SnmpVersion::kV1 &&
       head.version != SnmpVersion::kV2c) {
     throw BerError("unsupported SNMP version");
@@ -221,9 +218,9 @@ MessageHeadView decode_message_head(std::span<const std::uint8_t> wire) {
   }
 
   BerReader pdu(body.content);
-  head.request_id = static_cast<std::int32_t>(read_integer(pdu));
-  head.error_status = static_cast<ErrorStatus>(read_integer(pdu));
-  head.error_index = static_cast<std::int32_t>(read_integer(pdu));
+  head.request_id = read_integer32(pdu);
+  head.error_status = static_cast<ErrorStatus>(read_integer32(pdu));
+  head.error_index = read_integer32(pdu);
   head.varbinds = BerReader(pdu.expect_tlv(ber::kTagSequence));
   return head;
 }

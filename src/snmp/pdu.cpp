@@ -68,11 +68,10 @@ TrapV1Pdu decode_trap_v1(ByteReader& in) {
   std::size_t addr_len = ber::expect_header(in, ber::kTagIpAddress);
   if (addr_len != 4) throw BerError("agent-addr must be 4 octets");
   trap.agent_addr = in.get_u32();
-  trap.generic_trap = static_cast<GenericTrap>(ber::read_integer(in));
-  trap.specific_trap = static_cast<std::int32_t>(ber::read_integer(in));
+  trap.generic_trap = static_cast<GenericTrap>(ber::read_integer32(in));
+  trap.specific_trap = ber::read_integer32(in);
   const std::size_t ticks_len = ber::expect_header(in, ber::kTagTimeTicks);
-  trap.time_stamp_ticks =
-      static_cast<std::uint32_t>(ber::read_unsigned_content(in, ticks_len));
+  trap.time_stamp_ticks = ber::read_unsigned32_content(in, ticks_len);
 
   const std::size_t vbl_len = ber::expect_header(in, ber::kTagSequence);
   const std::size_t end = in.position() + vbl_len;
@@ -109,9 +108,9 @@ Pdu decode_pdu(ByteReader& in) {
   }
   Pdu pdu;
   pdu.type = static_cast<PduType>(tag);
-  pdu.request_id = static_cast<std::int32_t>(ber::read_integer(in));
-  pdu.error_status = static_cast<ErrorStatus>(ber::read_integer(in));
-  pdu.error_index = static_cast<std::int32_t>(ber::read_integer(in));
+  pdu.request_id = ber::read_integer32(in);
+  pdu.error_status = static_cast<ErrorStatus>(ber::read_integer32(in));
+  pdu.error_index = ber::read_integer32(in);
 
   const std::size_t vbl_len = ber::expect_header(in, ber::kTagSequence);
   const std::size_t end = in.position() + vbl_len;
@@ -171,7 +170,7 @@ Message decode_message(const Bytes& wire) {
   ByteReader in(wire);
   ber::expect_header(in, ber::kTagSequence);
   Message message;
-  message.version = static_cast<SnmpVersion>(ber::read_integer(in));
+  message.version = static_cast<SnmpVersion>(ber::read_integer32(in));
   if (message.version != SnmpVersion::kV1 &&
       message.version != SnmpVersion::kV2c) {
     throw BerError("unsupported SNMP version");

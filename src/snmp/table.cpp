@@ -50,14 +50,20 @@ void TablePoller::step() {
     non_repeaters = 2;
   }
   std::size_t active = 0;
+  std::uint32_t furthest_behind = known_rows_;
   for (std::size_t c = 0; c < columns_.size(); ++c) {
-    if (!done_[c]) ++active;
+    if (done_[c]) continue;
+    ++active;
+    furthest_behind = std::min(furthest_behind, row_cursor_[c]);
+    oids.push_back(cursors_[c]);
   }
-  const std::size_t reps =
+  std::size_t reps =
       std::max<std::size_t>(1, varbind_budget_ / std::max<std::size_t>(
                                                      1, active));
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    if (!done_[c]) oids.push_back(cursors_[c]);
+  // Ask for no more rows than the table is known to have left: a column
+  // swept past its last row only repeats the next column's rows.
+  if (known_rows_ != 0) {
+    reps = std::clamp<std::size_t>(known_rows_ - furthest_behind, 1, reps);
   }
   ++result_.requests;
   client_.get_bulk(agent_, community_, std::move(oids), non_repeaters,
@@ -98,6 +104,7 @@ void TablePoller::on_response(SnmpResult response) {
       return;
     }
     result_.if_number = static_cast<std::uint32_t>(*count);
+    known_rows_ = result_.if_number;
     result_.rows.assign(result_.if_number, TableResult::Row{});
     for (auto& row : result_.rows) {
       row.cells.assign(columns_.size(), SnmpValue{Null{}});

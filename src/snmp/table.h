@@ -6,15 +6,24 @@
 // with a handful of GETBULK sweeps instead: the first request also
 // fetches sysUpTime.0 and ifNumber.0 as non-repeaters, so one round trip
 // usually yields the complete table for small agents, and large tables
-// finish in ceil(rows * columns / budget) requests regardless of row
-// count per request cap.
+// finish in ceil(rows * columns / budget) requests.
 //
-// The parser is deliberately tolerant of GETBULK realities: responses
-// are column-major, may be truncated by the agent's varbind cap, and
-// repeaters overshoot into sibling columns once their own is exhausted.
-// Every varbind is routed by column-root prefix and deduplicated against
-// that column's cursor, so overshoot rows are either fresh same-snapshot
-// data (accepted) or repeats (skipped).
+// The manager picks max-repetitions (RFC 3416 §4.2.3): each sweep asks
+// for the rows the furthest-behind column still lacks, counted against
+// the known row count (this collection's ifNumber once its first
+// response is in, otherwise the previous collection's) and capped at
+// budget / columns. For a table whose size has not changed, every
+// column then ends on its last row.
+//
+// Overshoot is the fallback, not the normal case: a first collection
+// (no row count yet) asks for budget / columns rows, a table that shrank
+// is swept past its end (one that grew costs one extra request), and an
+// agent may truncate at its varbind cap or overshoot anyway. Responses
+// are column-major and a repeater past its own column returns the next
+// column's rows, so every varbind is routed by column-root prefix and
+// deduplicated against that column's cursor: overshoot rows are either
+// fresh same-snapshot data (accepted) or repeats (skipped), and
+// completeness rests on the response's own ifNumber.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +104,9 @@ class TablePoller {
   std::vector<Oid> cursors_;     ///< last accepted OID per column
   std::vector<bool> done_;       ///< column fully collected
   std::vector<std::uint32_t> row_cursor_;  ///< last accepted ifIndex
+  /// ifNumber of the latest collection to report one (already capped);
+  /// 0 while unknown. Sizes max-repetitions in step().
+  std::uint32_t known_rows_ = 0;
 };
 
 }  // namespace netqos::snmp

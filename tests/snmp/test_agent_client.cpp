@@ -166,19 +166,23 @@ TEST_F(AgentClientFixture, CountersVisibleThroughAgent) {
   EXPECT_GE(as_counter32(got->varbinds[0].value), 1000u);
 }
 
-/// A v2c GetRequest whose varbind list content is `varbinds` verbatim, so
-/// malformed varbinds can sit inside a well-formed envelope.
+/// A v2c GetRequest (or another PDU type, by `pdu_tag`) whose varbind
+/// list content is `varbinds` verbatim and whose request-id is written
+/// as given, so malformed varbinds or an out-of-range request-id can sit
+/// inside a well-formed envelope.
 Bytes get_request_with_varbinds(const std::string& community,
-                                const Bytes& varbinds) {
+                                const Bytes& varbinds,
+                                std::int64_t request_id = 77,
+                                std::uint8_t pdu_tag = ber::kTagGetRequest) {
   ByteWriter pdu;
-  ber::write_integer(pdu, 77);  // request-id
+  ber::write_integer(pdu, request_id);
   ber::write_integer(pdu, 0);
   ber::write_integer(pdu, 0);
   ber::write_wrapped(pdu, ber::kTagSequence, varbinds);
   ByteWriter message;
   ber::write_integer(message, static_cast<std::int64_t>(SnmpVersion::kV2c));
   ber::write_octet_string(message, community);
-  ber::write_wrapped(message, ber::kTagGetRequest, pdu.bytes());
+  ber::write_wrapped(message, pdu_tag, pdu.bytes());
   ByteWriter wire;
   ber::write_wrapped(wire, ber::kTagSequence, message.bytes());
   return std::move(wire).take();
@@ -218,7 +222,10 @@ TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
 
   send(get_request_with_varbinds("public", truncated));
   send(get_request_with_varbinds("public", trailing.bytes()));
-  EXPECT_EQ(agent->stats().decode_errors, 3u);
+  // request-id is an Integer32; five octets of it are malformed.
+  send(get_request_with_varbinds("public", good,
+                                 (std::int64_t{1} << 32) + 77));
+  EXPECT_EQ(agent->stats().decode_errors, 4u);
   EXPECT_EQ(agent->stats().auth_failures, 2u);
   EXPECT_EQ(replies, 0u);
   EXPECT_EQ(agent->stats().responses, 0u);
@@ -227,6 +234,41 @@ TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
   send(get_request_with_varbinds("public", good));
   EXPECT_EQ(replies, 1u);
   EXPECT_EQ(agent->stats().responses, 1u);
+}
+
+// A GetResponse whose request-id needs more than 32 bits is dropped as
+// malformed, not matched to the pending request with the same low 32
+// bits; that request stays pending until a well-formed reply arrives.
+TEST_F(AgentClientFixture, ClientDropsResponseWithOutOfRangeRequestId) {
+  target->udp().unbind(sim::kSnmpPort);
+  std::vector<sim::Ipv4Packet> requests;
+  target->udp().bind(sim::kSnmpPort, [&](const sim::Ipv4Packet& packet) {
+    requests.push_back(packet);
+  });
+  std::optional<SnmpResult> got;
+  client->get(target->ip(), "public", {mib2::kSysUpTime.child(0)},
+              [&](SnmpResult r) { got = std::move(r); });
+  sim.run_until(sim.now() + milliseconds(10));
+  ASSERT_EQ(requests.size(), 1u);
+  const std::int32_t id =
+      decode_message(requests[0].udp.payload).pdu.request_id;
+  const auto reply = [&](std::int64_t request_id) {
+    target->udp().send(requests[0].src, requests[0].udp.src_port,
+                       sim::kSnmpPort,
+                       get_request_with_varbinds("public", {}, request_id,
+                                                 ber::kTagGetResponse));
+    sim.run_until(sim.now() + milliseconds(10));
+  };
+
+  reply((std::int64_t{1} << 32) + id);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(client->outstanding(), 1u);
+  EXPECT_EQ(client->stats().mismatched, 0u);
+
+  reply(id);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->ok());
+  EXPECT_EQ(client->outstanding(), 0u);
 }
 
 TEST_F(AgentClientFixture, SetRequestAnswersGenErr) {

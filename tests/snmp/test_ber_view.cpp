@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "snmp/pdu.h"
 
 namespace netqos::snmp {
@@ -142,6 +144,72 @@ TEST(BerView, ViewsDoNotCopyTheWire) {
   EXPECT_GE(vb.oid.content.data(), wire.data());
   EXPECT_LT(vb.oid.content.data(), wire.data() + wire.size());
   EXPECT_GE(vb.value.content.data(), wire.data());
+}
+
+// Counter32, Gauge32 and TimeTicks carry at most 32 bits. Content that
+// encodes more is malformed, not a value to truncate: both decoders
+// reject it alike.
+TEST(BerView, ThirtyTwoBitValuesPastTheirRangeRejected) {
+  const auto view_of = [](const Bytes& wire) {
+    return ValueView{wire[0], std::span<const std::uint8_t>(wire).subspan(2)};
+  };
+  // 2^32 - 1 needs five octets: a leading zero keeps it unsigned.
+  const Bytes largest{0x41, 0x05, 0x00, 0xff, 0xff, 0xff, 0xff};
+  ByteReader reader(largest);
+  EXPECT_EQ(ber::read_value(reader), SnmpValue(Counter32{0xffffffffu}));
+  EXPECT_EQ(view_of(largest).to_value(), SnmpValue(Counter32{0xffffffffu}));
+
+  const Bytes too_large[] = {
+      {0x41, 0x05, 0x01, 0x00, 0x00, 0x00, 0x00},  // Counter32 2^32
+      {0x41, 0x05, 0x01, 0x00, 0x00, 0x00, 0x05},  // Counter32 2^32 + 5
+      {0x42, 0x05, 0x01, 0x00, 0x00, 0x00, 0x00},  // Gauge32 2^32
+      {0x43, 0x09, 0x00, 0xff, 0xff, 0xff, 0xff,   // TimeTicks 2^64 - 1
+       0xff, 0xff, 0xff, 0xff}};
+  for (const Bytes& wire : too_large) {
+    ByteReader in(wire);
+    EXPECT_THROW(ber::read_value(in), BerError) << int{wire[0]};
+    EXPECT_THROW(view_of(wire).to_value(), BerError) << int{wire[0]};
+  }
+}
+
+/// A v2c GetResponse with no varbinds whose three header INTEGERs are
+/// encoded as given, in range or not.
+Bytes response_envelope(std::int64_t request_id, std::int64_t error_status,
+                        std::int64_t error_index) {
+  ByteWriter pdu;
+  ber::write_integer(pdu, request_id);
+  ber::write_integer(pdu, error_status);
+  ber::write_integer(pdu, error_index);
+  ber::write_wrapped(pdu, ber::kTagSequence, {});
+  ByteWriter message;
+  ber::write_integer(message, static_cast<std::int64_t>(SnmpVersion::kV2c));
+  ber::write_octet_string(message, "public");
+  ber::write_wrapped(message, ber::kTagGetResponse, pdu.bytes());
+  ByteWriter wire;
+  ber::write_wrapped(wire, ber::kTagSequence, message.bytes());
+  return std::move(wire).take();
+}
+
+// request-id, error-status and error-index are Integer32: a request-id
+// of 2^32 + 7 is malformed, not a reply to request 7.
+TEST(BerView, HeaderIntegersPastInteger32Rejected) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  for (const std::int64_t id : {kMin, kMax}) {
+    const Bytes wire = response_envelope(id, 0, 0);
+    EXPECT_EQ(decode_message(wire).pdu.request_id, id);
+    EXPECT_EQ(decode_message_head(wire).request_id, id);
+  }
+  const Bytes malformed[] = {
+      response_envelope((std::int64_t{1} << 32) + 7, 0, 0),
+      response_envelope(kMax + 1, 0, 0),
+      response_envelope(kMin - 1, 0, 0),
+      response_envelope(7, kMax + 1, 0),
+      response_envelope(7, 0, kMax + 1)};
+  for (const Bytes& wire : malformed) {
+    EXPECT_THROW(decode_message(wire), BerError);
+    EXPECT_THROW(decode_message_head(wire), BerError);
+  }
 }
 
 }  // namespace

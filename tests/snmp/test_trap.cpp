@@ -2,9 +2,12 @@
 // listener's translation between them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "netsim/network.h"
 #include "netsim/simulator.h"
 #include "snmp/agent.h"
+#include "snmp/ber.h"
 #include "snmp/mib2.h"
 #include "snmp/trap.h"
 
@@ -48,6 +51,28 @@ TEST(TrapV1Codec, EnterpriseSpecificRoundTrip) {
   ASSERT_TRUE(back.trap_v1.has_value());
   EXPECT_EQ(back.trap_v1->generic_trap, GenericTrap::kEnterpriseSpecific);
   EXPECT_EQ(back.trap_v1->specific_trap, 17);
+}
+
+// The time-stamp is TimeTicks: the largest 32-bit value round-trips,
+// one past it is malformed rather than truncated.
+TEST(TrapV1Codec, TimeStampPastTimeTicksRejected) {
+  Message msg;
+  msg.version = SnmpVersion::kV1;
+  TrapV1Pdu trap;
+  trap.enterprise = Oid({1, 3, 6, 1, 4, 1, 42});
+  trap.time_stamp_ticks = 0xffffffffu;
+  msg.trap_v1 = trap;
+  Bytes wire = encode_message(msg);
+  EXPECT_EQ(decode_message(wire).trap_v1->time_stamp_ticks, 0xffffffffu);
+
+  // TimeTicks 2^32 - 1 is 43 05 00 ff ff ff ff; turning the leading zero
+  // into 01 makes it 2^32 + 2^32 - 1.
+  const Bytes ticks{0x43, 0x05, 0x00, 0xff, 0xff, 0xff, 0xff};
+  const auto at = std::search(wire.begin(), wire.end(), ticks.begin(),
+                              ticks.end());
+  ASSERT_NE(at, wire.end());
+  at[2] = 0x01;
+  EXPECT_THROW(decode_message(wire), BerError);
 }
 
 /// Manager host + agent host on a cable, with a trap listener.
