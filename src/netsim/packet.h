@@ -82,7 +82,9 @@ struct EthernetFrame {
 /// single-threaded and nothing in src/ starts a thread, so a frame and
 /// all its handles stay on one thread. That saves what a shared_ptr
 /// costs on every hop: a separate control block and a lock-prefixed
-/// update per copy and per drop. A hop moves its handle along; a hub or
+/// update per copy and per drop. A hop moves the handle into the link's
+/// FIFO of frames in flight, where it waits for the frame's arrival; the
+/// link drops it at the finish of a copy the far NIC filters. A hub or
 /// switch copies one per port it sends the frame out of.
 class Frame {
  public:

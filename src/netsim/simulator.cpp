@@ -76,6 +76,7 @@ void Simulator::run_until(SimTime until) {
 
 void Simulator::run_all() {
   while (!heap_.empty()) dispatch_top();
+  if (now_ < hold_until_) now_ = hold_until_;
 }
 
 void Simulator::dispatch_top() {

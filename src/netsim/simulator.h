@@ -13,20 +13,20 @@
 //    the events. The sequence number fills the key's high bits, so
 //    ordering by (when, key) is ordering by (when, seq).
 //  - Dispatch leaves the running event's entry at the root while its
-//    callback runs. Most callbacks schedule a follow-on (a frame's next
-//    hop, a timer's next tick), and the first such schedule_at overwrites
-//    that spent root and sifts it down: one sift instead of a pop and a
-//    push. If the callback schedules nothing, the root is popped when it
-//    returns. A spent root is flagged, so pending() never counts it, and
-//    its slot no longer holds its key, so a dispatch that reaches it pops
-//    it like a tombstone and clears the flag. A run_until or run_all
-//    called from inside a callback disposes of it that way; a root left
-//    spent by a callback that threw goes the same way, or is overwritten
-//    by the next schedule_at. Order cannot change: (when, seq) is a
-//    strict total order, so the heap's layout never decides which entry
-//    is least.
-//  - Callback keeps closures of up to 48 bytes inline (the NIC's and the
-//    link's frame closures fit) and boxes larger ones on the heap.
+//    callback runs. Many callbacks schedule a follow-on (a timer's next
+//    tick, a frame's arrival across the next link), and the first such
+//    schedule_at overwrites that spent root and sifts it down: one sift
+//    instead of a pop and a push. If the callback schedules nothing, the
+//    root is popped when it returns. A spent root is flagged, so pending()
+//    never counts it, and its slot no longer holds its key, so a dispatch
+//    that reaches it pops it like a tombstone and clears the flag. A
+//    run_until or run_all called from inside a callback disposes of it
+//    that way; a root left spent by a callback that threw goes the same
+//    way, or is overwritten by the next schedule_at. Order cannot change:
+//    (when, seq) is a strict total order, so the heap's layout never
+//    decides which entry is least.
+//  - Callback keeps closures of up to 48 bytes inline (a link's arrival
+//    closure fits) and boxes larger ones on the heap.
 #pragma once
 
 #include <cstddef>
@@ -160,8 +160,16 @@ class Simulator {
   /// `until`.
   void run_until(SimTime until);
 
-  /// Runs until the queue drains completely.
+  /// Runs until the queue drains completely, then moves the clock on to
+  /// the latest time given to hold_until(), if that is later.
   void run_all();
+
+  /// Makes run_all() leave the clock no earlier than `when`. A link calls
+  /// it for a frame whose serialization finishes with no event of its own
+  /// (see link.h), so that after run_all() every such frame has finished.
+  void hold_until(SimTime when) {
+    if (when > hold_until_) hold_until_ = when;
+  }
 
   /// Number of events executed so far.
   std::uint64_t events_executed() const { return executed_; }
@@ -215,6 +223,7 @@ class Simulator {
   BufferPool buffer_pool_;
 
   SimTime now_ = 0;
+  SimTime hold_until_ = 0;
   std::uint64_t next_seq_ = 1;  // from 1, so no key (and no EventId) is 0
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;  // 4-ary min-heap by before()

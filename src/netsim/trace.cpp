@@ -1,17 +1,18 @@
 #include "netsim/trace.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "netsim/nic.h"
 #include "netsim/node.h"
-#include "netsim/simulator.h"
 
 namespace netqos::sim {
 
 void FrameTracer::attach(Link& link, std::string label) {
-  link.set_tap([this, label = std::move(label)](const Nic& from,
-                                                const Frame& frame) {
-    record(label, from, frame);
+  links_.push_back(&link);
+  link.set_tap([this, label = std::move(label)](
+                   SimTime when, const Nic& from, const Frame& frame) {
+    record(label, when, from, frame);
   });
 }
 
@@ -21,11 +22,11 @@ FrameTracer::Filter FrameTracer::port_filter(std::uint16_t port) {
   };
 }
 
-void FrameTracer::record(const std::string& label, const Nic& from,
-                         const Frame& frame) {
+void FrameTracer::record(const std::string& label, SimTime when,
+                         const Nic& from, const Frame& frame) {
   ++total_seen_;
   TraceRecord rec;
-  rec.time = sim_.now();
+  rec.time = when;
   rec.link = label;
   rec.from = from.owner().name() + "." + from.name();
   rec.src_mac = frame->src;
@@ -37,11 +38,15 @@ void FrameTracer::record(const std::string& label, const Nic& from,
   rec.wire_bytes = frame->wire_size();
 
   if (filter_ && !filter_(rec)) return;
-  if (records_.size() >= capacity_) {
+  // Each link folds its frames in time order, but the links fold at
+  // different times, so a record can be older than the newest few.
+  auto at = records_.end();
+  while (at != records_.begin() && std::prev(at)->time > rec.time) --at;
+  records_.insert(at, std::move(rec));
+  if (records_.size() > capacity_) {
     records_.pop_front();
     ++evicted_;
   }
-  records_.push_back(std::move(rec));
 }
 
 std::string FrameTracer::format(const TraceRecord& record) {

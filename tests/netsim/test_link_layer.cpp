@@ -1,16 +1,19 @@
 // NIC + link level behaviour: serialization delay, counters, MAC
-// filtering, queue overflow, frame handle lifetime.
+// filtering, queue overflow, frame handle lifetime, and when each part of
+// a frame hop becomes visible.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "netsim/host.h"
 #include "netsim/link.h"
 #include "netsim/network.h"
 #include "netsim/packet.h"
 #include "netsim/simulator.h"
+#include "netsim/trace.h"
 
 namespace netqos::sim {
 namespace {
@@ -194,6 +197,188 @@ TEST_F(TwoHostFixture, QueueOverflowDropsTail) {
   // One frame transmitting + 4 queued = 5 accepted.
   EXPECT_EQ(ok, 5);
   EXPECT_EQ(na->counters().if_out_discards, 5u);
+}
+
+TEST_F(TwoHostFixture, QueueFreesAsFramesFinish) {
+  Nic* na = a->find_interface("eth0");
+  na->set_queue_limit(4);
+  int ok = 0;
+  for (int i = 0; i < 10; ++i) {
+    ok += a->udp().send(b->ip(), 1, 2, {}, 1000);
+  }
+  EXPECT_EQ(ok, 5);
+  // 1000 payload + 46 header octets per frame. Once three frames have
+  // finished, the fourth is serializing and one waits behind it.
+  const SimDuration frame_time = transmission_delay(1046, mbps(10));
+  sim.run_until(3 * frame_time + 1);
+  ok = 0;
+  for (int i = 0; i < 3; ++i) {
+    ok += a->udp().send(b->ip(), 1, 2, {}, 1000);
+  }
+  EXPECT_EQ(ok, 3);
+  EXPECT_FALSE(a->udp().send(b->ip(), 1, 2, {}, 1000));  // full again
+  EXPECT_EQ(na->counters().if_out_discards, 6u);
+}
+
+/// Two hosts on a 100 Mbps cable, for the timing of one frame hop: a
+/// frame counts out at the sender and crosses the link when its last bit
+/// is serialized, and counts in at the receiver one propagation later.
+class HopFixture : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kWire = 1518;  // a full-size frame
+
+  HopFixture() : net(sim) {
+    a = &net.add_host("A");
+    b = &net.add_host("B");
+    net.add_host_interface(*a, "eth0", mbps(100),
+                           Ipv4Address::parse("10.0.0.1"));
+    net.add_host_interface(*b, "eth0", mbps(100),
+                           Ipv4Address::parse("10.0.0.2"));
+    link = &net.connect(*a, "eth0", *b, "eth0");
+    na = a->find_interface("eth0");
+    nb = b->find_interface("eth0");
+    b->udp().bind(9, [this](const Ipv4Packet&) { ++received; });
+  }
+
+  /// Sends one full-size frame A -> B on an idle NIC; returns the time
+  /// its serialization finishes.
+  SimTime send_full_frame() {
+    EXPECT_TRUE(a->udp().send(b->ip(), 9, 5555, {}, kMaxUdpPayloadBytes));
+    return sim.now() + transmission_delay(kWire, mbps(100));
+  }
+
+  Simulator sim;
+  Network net;
+  Host* a = nullptr;
+  Host* b = nullptr;
+  Link* link = nullptr;
+  Nic* na = nullptr;
+  Nic* nb = nullptr;
+  int received = 0;
+};
+
+TEST_F(HopFixture, CountersMoveAtFinishAndArrival) {
+  const SimTime finish = send_full_frame();
+  sim.run_until(finish - 1);
+  EXPECT_EQ(na->counters().if_out_octets, 0u);
+  EXPECT_EQ(link->octets_carried(), 0u);
+
+  sim.run_until(finish + 1);
+  EXPECT_EQ(na->counters().if_out_octets, kWire);
+  EXPECT_EQ(link->octets_carried(), kWire);
+  EXPECT_EQ(nb->counters().if_in_octets, 0u);  // still propagating
+
+  sim.run_until(finish + link->propagation_delay() + 1);
+  EXPECT_EQ(nb->counters().if_in_octets, kWire);
+  EXPECT_EQ(received, 1);
+}
+
+TEST_F(HopFixture, CarrierDownBeforeFinishDropsTheFrame) {
+  const SimTime finish = send_full_frame();
+  sim.run_until(finish - 1);
+  link->set_up(false);
+  sim.run_all();
+  EXPECT_EQ(link->frames_dropped_down(), 1u);
+  EXPECT_EQ(link->frames_carried(), 0u);
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(nb->counters().if_in_octets, 0u);
+  // The sender counted it out: it left the NIC before the carrier check.
+  EXPECT_EQ(na->counters().if_out_octets, kWire);
+}
+
+TEST_F(HopFixture, CarrierDownAfterFinishStillDelivers) {
+  const SimTime finish = send_full_frame();
+  sim.run_until(finish + 1);
+  link->set_up(false);
+  sim.run_all();
+  EXPECT_EQ(link->frames_dropped_down(), 0u);
+  EXPECT_EQ(link->frames_carried(), 1u);
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(nb->counters().if_in_octets, kWire);
+}
+
+TEST_F(HopFixture, LossDrawsFollowFinishOrderAcrossDirections) {
+  // Eight frames each way, sized so that the two directions' finishes
+  // interleave. B starts 1 ns after A, so no two finishes tie. A frame is
+  // named by its source port: 1000 + i from A, 2000 + i from B.
+  link->set_loss(0.5, 7);
+  std::vector<int> delivered;
+  const auto record = [&](const Ipv4Packet& p) {
+    delivered.push_back(p.udp.src_port);
+  };
+  b->udp().bind(100, record);
+  a->udp().bind(100, record);
+  for (int i = 0; i < 8; ++i) {
+    a->udp().send(b->ip(), 100, static_cast<std::uint16_t>(1000 + i), {},
+                  static_cast<std::size_t>(200 + 97 * i));
+  }
+  sim.run_until(1);
+  for (int i = 0; i < 8; ++i) {
+    b->udp().send(a->ip(), 100, static_cast<std::uint16_t>(2000 + i), {},
+                  static_cast<std::size_t>(900 - 61 * i));
+  }
+  sim.run_all();
+  EXPECT_EQ(link->frames_carried() + link->frames_dropped_loss(), 16u);
+  EXPECT_EQ(link->frames_carried(), delivered.size());
+  // Loss is drawn once per frame at its finish, in finish order across
+  // both directions, which fixes this sequence.
+  EXPECT_EQ(delivered, (std::vector<int>{1000, 2000, 1002, 1003, 2001, 1006,
+                                         2004, 1007, 2005, 2007}));
+}
+
+TEST_F(HopFixture, TraceRecordTimeIsTheSerializationFinish) {
+  FrameTracer tracer(sim);
+  tracer.attach(*link, "a-b");
+  const SimTime first = send_full_frame();
+  // Then a frame to a foreign MAC, which B's filter drops.
+  EthernetFrame foreign;
+  foreign.src = na->mac();
+  foreign.dst = MacAddress::from_id(0xdead);
+  foreign.ip.src = a->ip();
+  foreign.ip.dst = Ipv4Address::parse("10.0.0.9");
+  foreign.ip.udp.padding = 100;  // 146 octets on the wire
+  ASSERT_TRUE(na->transmit(make_frame(foreign)));
+  const SimTime second = first + transmission_delay(146, mbps(100));
+  sim.run_until(second + seconds(1));
+  ASSERT_EQ(tracer.records().size(), 2u);
+  EXPECT_EQ(tracer.records()[0].time, first);
+  EXPECT_EQ(tracer.records()[0].wire_bytes, kWire);
+  EXPECT_EQ(tracer.records()[1].time, second);
+  EXPECT_EQ(tracer.records()[1].wire_bytes, 146u);
+}
+
+TEST(HubHop, OneFrameReachesOnlyItsAddressee) {
+  constexpr int kPorts = 5;
+  Simulator sim;
+  Network net(sim);
+  Hub& hub = net.add_hub("H");
+  std::vector<Host*> hosts;
+  std::vector<int> received(kPorts, 0);
+  for (int i = 0; i < kPorts; ++i) {
+    const std::string n = std::to_string(i);
+    Host& h = net.add_host("S" + n);
+    net.add_host_interface(
+        h, "eth0", mbps(10),
+        Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)));
+    net.add_port(hub, "p" + n, mbps(10));
+    net.connect(h, "eth0", hub, "p" + n);
+    h.udp().bind(9, [&received, i](const Ipv4Packet&) { ++received[i]; });
+    hosts.push_back(&h);
+  }
+  ASSERT_TRUE(hosts[0]->udp().send(hosts[1]->ip(), 9, 5555, {}, 100));
+  sim.run_all();
+  constexpr std::uint64_t kWireOctets = 146;
+  EXPECT_EQ(received, (std::vector<int>{0, 1, 0, 0, 0}));
+  const Nic* addressee = hosts[1]->find_interface("eth0");
+  EXPECT_EQ(addressee->counters().if_in_octets, kWireOctets);
+  EXPECT_EQ(addressee->filtered_octets(), 0u);
+  // The hub repeats nothing back to the sender.
+  EXPECT_EQ(hosts[0]->find_interface("eth0")->filtered_octets(), 0u);
+  for (int i = 2; i < kPorts; ++i) {
+    const Nic* other = hosts[i]->find_interface("eth0");
+    EXPECT_EQ(other->filtered_octets(), kWireOctets) << i;
+    EXPECT_EQ(other->counters().if_in_octets, 0u) << i;
+  }
 }
 
 TEST_F(TwoHostFixture, UnpooledFrameIsFreedWithoutTouchingThePool) {

@@ -119,6 +119,23 @@ TEST(Simulator, RunUntilLeavesFutureEventsPending) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, RunAllEndsNoEarlierThanTheLatestHold) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.hold_until(250);
+  sim.hold_until(200);  // an earlier hold changes nothing
+  sim.run_all();
+  EXPECT_EQ(sim.now(), 250);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  // A hold never pulls the clock back, nor moves run_until past its limit.
+  sim.hold_until(400);
+  sim.run_until(300);
+  EXPECT_EQ(sim.now(), 300);
+  sim.schedule_at(500, [] {});
+  sim.run_all();
+  EXPECT_EQ(sim.now(), 500);
+}
+
 TEST(Simulator, ExecutedCountTracks) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_at(seconds(i + 1), [] {});
