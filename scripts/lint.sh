@@ -4,17 +4,13 @@
 #   scripts/lint.sh [--build-dir DIR] [--update-baselines]
 #
 # Runs, in order:
-#   1. netqos-analyze (tools/netqos_analyze, the C++ engine) when the
-#      binary exists in the build tree: all eight rules R1-R8 over src/,
-#      gated against tools/netqos_lint/analyze_baseline.txt (committed
-#      at zero entries), with SARIF written to $BUILD_DIR/lint/ and a
-#      result cache for warm incremental runs. Falls back to the Python
-#      linter (R1-R5 only) with a notice when the binary is absent.
-#   2. Parity gate (engine present only): the engine and the Python
-#      linter must agree on every R1-R5 verdict across the fixture
-#      corpus AND over src/. Any disagreement fails the run — the two
-#      implementations are not allowed to drift.
-#   3. clang-tidy with the repo .clang-tidy profile over src/, gated
+#   1. netqos-analyze (tools/netqos_analyze, the C++ engine) from the
+#      build tree: all eight rules R1-R8 over src/, gated against
+#      tools/netqos_lint/analyze_baseline.txt (committed at zero
+#      entries), with SARIF written to $BUILD_DIR/lint/ and a result
+#      cache for warm incremental runs. Exits 2, naming the target to
+#      build, when the binary is missing.
+#   2. clang-tidy with the repo .clang-tidy profile over src/, gated
 #      diff-aware against tools/netqos_lint/clang_tidy_baseline.txt.
 #      Skipped with a notice when clang-tidy is not installed (the
 #      container image has no LLVM tooling; the CI static-analysis job
@@ -36,77 +32,36 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-PYTHON="${PYTHON:-python3}"
-LINT=tools/netqos_lint/netqos_lint.py
-LINT_BASELINE=tools/netqos_lint/baseline.txt
 ANALYZE_BASELINE=tools/netqos_lint/analyze_baseline.txt
 TIDY_BASELINE=tools/netqos_lint/clang_tidy_baseline.txt
 ANALYZE_BIN="$BUILD_DIR/tools/netqos_analyze/netqos_analyze"
 OUT_DIR="$BUILD_DIR/lint"
+
+if [[ ! -x "$ANALYZE_BIN" ]]; then
+  echo "scripts/lint.sh: error: no netqos-analyze binary at $ANALYZE_BIN;" \
+       "build it with: cmake --build $BUILD_DIR --target netqos_analyze" >&2
+  exit 2
+fi
 mkdir -p "$OUT_DIR"
 
 status=0
 
-# Reduce engine/linter output to comparable "path:line RULE" verdicts.
-verdicts() {
-  sed -nE 's/^([^:]+):([0-9]+): \[(R[0-9])\].*/\1:\2 \3/p' | sort
-}
-
-if [[ -x "$ANALYZE_BIN" ]]; then
-  # ---- 1. netqos-analyze (C++ engine, R1-R8) -----------------------------
-  if [[ "$UPDATE_BASELINES" == 1 ]]; then
-    "$ANALYZE_BIN" --root . --baseline "$ANALYZE_BASELINE" \
-        --update-baseline src
-  fi
-  echo "== netqos-analyze (R1-R8)"
-  if "$ANALYZE_BIN" --root . --baseline "$ANALYZE_BASELINE" \
-      --sarif "$OUT_DIR/netqos_analyze.sarif" \
-      --cache "$OUT_DIR/netqos_analyze.cache" src \
-      | tee "$OUT_DIR/netqos_analyze.txt"; then
-    echo "   netqos-analyze: clean"
-  else
-    status=1
-  fi
-
-  # ---- 2. parity gate: engine vs Python on R1-R5 -------------------------
-  echo "== parity gate (engine vs netqos_lint.py, R1-R5)"
-  parity_fail=0
-  : > "$OUT_DIR/parity_diff.txt"
-  for target in tools/netqos_lint/fixtures src; do
-    "$PYTHON" "$LINT" --root . "$target" 2>/dev/null \
-      | verdicts > "$OUT_DIR/parity_py.txt" || true
-    "$ANALYZE_BIN" --root . --rules R1,R2,R3,R4,R5 "$target" 2>/dev/null \
-      | verdicts > "$OUT_DIR/parity_cpp.txt" || true
-    if ! diff -u "$OUT_DIR/parity_py.txt" "$OUT_DIR/parity_cpp.txt" \
-        >> "$OUT_DIR/parity_diff.txt"; then
-      echo "   parity MISMATCH on $target (see $OUT_DIR/parity_diff.txt)"
-      parity_fail=1
-    fi
-  done
-  if [[ "$parity_fail" == 1 ]]; then
-    cat "$OUT_DIR/parity_diff.txt"
-    status=1
-  else
-    echo "   parity: engine and Python linter agree on every R1-R5 verdict"
-  fi
+# ---- 1. netqos-analyze (C++ engine, R1-R8) -------------------------------
+if [[ "$UPDATE_BASELINES" == 1 ]]; then
+  "$ANALYZE_BIN" --root . --baseline "$ANALYZE_BASELINE" \
+      --update-baseline src
+fi
+echo "== netqos-analyze (R1-R8)"
+if "$ANALYZE_BIN" --root . --baseline "$ANALYZE_BASELINE" \
+    --sarif "$OUT_DIR/netqos_analyze.sarif" \
+    --cache "$OUT_DIR/netqos_analyze.cache" src \
+    | tee "$OUT_DIR/netqos_analyze.txt"; then
+  echo "   netqos-analyze: clean"
 else
-  # ---- fallback: Python linter only (R1-R5) ------------------------------
-  echo "== netqos-analyze binary not found at $ANALYZE_BIN;" \
-       "falling back to netqos-lint (build the 'netqos_analyze' target" \
-       "for R6-R8 and the parity gate)"
-  if [[ "$UPDATE_BASELINES" == 1 ]]; then
-    "$PYTHON" "$LINT" --root . --baseline "$LINT_BASELINE" --update-baseline src
-  fi
-  echo "== netqos-lint (R1-R5)"
-  if "$PYTHON" "$LINT" --root . --baseline "$LINT_BASELINE" src \
-      | tee "$OUT_DIR/netqos_lint.txt"; then
-    echo "   netqos-lint: clean"
-  else
-    status=1
-  fi
+  status=1
 fi
 
-# ---- 3. clang-tidy -------------------------------------------------------
+# ---- 2. clang-tidy -------------------------------------------------------
 TIDY="${CLANG_TIDY:-clang-tidy}"
 if ! command -v "$TIDY" >/dev/null 2>&1; then
   echo "== clang-tidy: not installed, skipped (install clang-tidy to enable)"

@@ -1,22 +1,25 @@
 // Golden-fixture tests for tools/netqos_analyze, the C++ static-analysis
 // engine. Three layers of coverage:
-//   1. R1-R5 parity: the engine reproduces the Python linter's verdict on
-//      every legacy fixture (the full-corpus diff lives in scripts/lint.sh;
-//      these tests pin the per-fixture counts).
-//   2. R6-R8 flow rules: each bad fixture is flagged, each good fixture is
-//      clean, and the PR 3 trap-listener crash reduction is rejected.
+//   1. The whole fixture corpus: the engine's `path:line RULE` verdicts
+//      equal tests/lint/goldens/fixture_verdicts.txt line for line.
+//   2. Per rule R1-R8: each bad fixture is flagged, each good fixture is
+//      clean, and the trap-listener crash reductions (the R1 and R6
+//      regression fixtures) are rejected.
 //   3. Report plumbing: baseline round-trip, SARIF output, result cache,
 //      and the shipped src/ tree staying clean under the committed
 //      zero-entry baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -80,40 +83,90 @@ void expect_clean(const std::string& fixture_name) {
       << fixture_name << " should pass analysis\n" << result.output;
 }
 
-// --- R1-R5 parity: same verdicts as tests/lint/test_netqos_lint.cpp ------
+// --- The fixture corpus's exact verdicts ---------------------------------
 
-TEST(NetqosAnalyze, R1DecodeSafetyMatchesPythonVerdicts) {
+// Every finding on the corpus as `path:line RULE`, sorted bytewise; a
+// finding moved, dropped or added anywhere fails here with the lines
+// that differ. After an intended rule or fixture change, regenerate with
+//   netqos_analyze --root . tools/netqos_lint/fixtures |
+//     sed -nE 's/^([^:]+):([0-9]+): \[(R[0-9])\].*/\1:\2 \3/p' | LC_ALL=C sort
+TEST(NetqosAnalyze, FixtureCorpusVerdictsMatchGoldenFile) {
+  const RunResult result =
+      run_analyze(source_dir() + "/tools/netqos_lint/fixtures");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  // `path:line: [RULE] message` -> `path:line RULE`
+  std::vector<std::string> actual;
+  std::istringstream lines(result.output);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t tag = line.find(": [R");
+    if (tag == std::string::npos || line.size() < tag + 6 ||
+        line[tag + 5] != ']') {
+      continue;
+    }
+    actual.push_back(line.substr(0, tag) + " " + line.substr(tag + 3, 2));
+  }
+  std::sort(actual.begin(), actual.end());
+
+  std::ifstream in(source_dir() + "/tests/lint/goldens/fixture_verdicts.txt");
+  ASSERT_TRUE(in) << "cannot read tests/lint/goldens/fixture_verdicts.txt";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  if (actual == golden) return;
+
+  std::sort(golden.begin(), golden.end());
+  std::vector<std::string> missing;
+  std::vector<std::string> unexpected;
+  std::set_difference(golden.begin(), golden.end(), actual.begin(),
+                      actual.end(), std::back_inserter(missing));
+  std::set_difference(actual.begin(), actual.end(), golden.begin(),
+                      golden.end(), std::back_inserter(unexpected));
+  std::string diff;
+  for (const std::string& line : missing) diff += "-" + line + "\n";
+  for (const std::string& line : unexpected) diff += "+" + line + "\n";
+  if (diff.empty()) diff = "(same lines; the golden file is not sorted)\n";
+  ADD_FAILURE() << "fixture verdicts differ from the golden file "
+                   "(- golden only, + engine only):\n"
+                << diff;
+}
+
+// --- R1-R5: pattern rules -------------------------------------------------
+
+TEST(NetqosAnalyze, R1DecodeSafetyFlagsBadAndAcceptsGoodFixtures) {
   expect_flags("r1_bad.cpp", "R1", 1);
   expect_clean("r1_good.cpp");
   expect_flags("r1_view_bad.cpp", "R1", 1);
   expect_clean("r1_view_good.cpp");
 }
 
-TEST(NetqosAnalyze, R2OidMonotonicityMatchesPythonVerdicts) {
+TEST(NetqosAnalyze, R2OidMonotonicityFlagsBadAndAcceptsGoodFixtures) {
   expect_flags("r2_bad.cpp", "R2", 2);
   expect_clean("r2_good.cpp");
 }
 
-TEST(NetqosAnalyze, R3UnitsDisciplineMatchesPythonVerdicts) {
+TEST(NetqosAnalyze, R3UnitsDisciplineFlagsBadAndAcceptsGoodFixtures) {
   expect_flags("r3_bad.cpp", "R3", 4);
   expect_clean("r3_good.cpp");
 }
 
-TEST(NetqosAnalyze, R3ProbeRateMathMatchesPythonVerdicts) {
+TEST(NetqosAnalyze, R3ProbeRateMathFlagsBadAndAcceptsGoodFixtures) {
   expect_flags("r3_probe_bad.cpp", "R3", 4);
   expect_clean("r3_probe_good.cpp");
 }
 
-TEST(NetqosAnalyze, R4SimTimePurityMatchesPythonVerdicts) {
+TEST(NetqosAnalyze, R4SimTimePurityFlagsBadAndAcceptsGoodFixtures) {
   expect_flags("r4_bad.cpp", "R4", 4);
   expect_flags("r4_query_bad.cpp", "R4", 4);
   expect_clean("r4_good.cpp");
   expect_clean("r4_query_good.cpp");
 }
 
-TEST(NetqosAnalyze, R5ModulePurityMatchesPythonVerdicts) {
+TEST(NetqosAnalyze, R5ModulePurityFlagsBadAndAcceptsGoodModules) {
   expect_flags("r5_bad.cpp", "R5", 4);
   expect_clean("r5_good.cpp");
+  // The shipped module directory on its own, so a failure names R5's
+  // home rather than only the whole-tree gate below.
+  const RunResult shipped = run_analyze(source_dir() + "/src/monitor/modules");
+  EXPECT_EQ(shipped.exit_code, 0) << shipped.output;
 }
 
 TEST(NetqosAnalyze, RegressionPr3UnderflowStillFlaggedByR1Port) {

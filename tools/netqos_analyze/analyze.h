@@ -1,8 +1,8 @@
 // netqos-analyze: flow-sensitive static analysis for the netqos tree.
 //
-// A C++ re-implementation of tools/netqos_lint/netqos_lint.py (rules
-// R1-R5, verdict-compatible on the fixture corpus — scripts/lint.sh
-// enforces parity) plus flow-sensitive rules the line-regex linter
+// Pattern rules R1-R5 (decode safety, OID monotonicity, units
+// discipline, simulated-time purity, module purity) plus flow-sensitive
+// rules that follow a value through a function, which a pattern match
 // cannot express:
 //
 //   R6  taint/bounds       wire-derived lengths/counts/offsets must pass
@@ -162,18 +162,10 @@ struct EnumRegistry {
 // ---------------------------------------------------------------------------
 // Rules
 
-struct RuleOptions {
-  std::set<std::string> enabled;  // empty = all
-  bool rule_on(const std::string& rule) const {
-    return enabled.empty() || enabled.count(rule) > 0;
-  }
-};
-
-/// Runs every enabled rule over one file. `registry` spans all files of
-/// the invocation.
+/// Runs every rule over one file. `registry` spans all files of the
+/// invocation.
 std::vector<Finding> run_rules(const SourceFile& file, const Syntax& syntax,
-                               const EnumRegistry& registry,
-                               const RuleOptions& options);
+                               const EnumRegistry& registry);
 
 /// Rule id -> one-line description, for --list-rules and SARIF metadata.
 const std::vector<std::pair<std::string, std::string>>& rule_catalog();

@@ -1,8 +1,7 @@
-// CLI driver. Mirrors tools/netqos_lint/netqos_lint.py's interface and
-// output contract (path:line: [RULE] message, exit 0/1/2, baseline
-// gating) so scripts/lint.sh can diff the two on the fixture corpus,
-// and adds what the Python tool lacks: --sarif and a --cache for warm
-// incremental runs.
+// Command-line entry point: findings as `path:line: [RULE] message` on
+// stdout, exit 0 (clean), 1 (new findings) or 2 (usage error), a
+// content-hash baseline gate, SARIF output (--sarif) and a per-file
+// result cache (--cache) for warm incremental runs.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -26,17 +25,15 @@ struct Options {
   std::string sarif_path;
   std::string cache_path;
   bool update_baseline = false;
-  bool show_baselined = false;
   bool list_rules = false;
-  RuleOptions rules;
 };
 
 int usage_error(const std::string& message) {
   std::cerr << "netqos-analyze: error: " << message << "\n"
             << "usage: netqos_analyze [paths...] [--root DIR] "
-               "[--baseline FILE] [--update-baseline] [--show-baselined]\n"
+               "[--baseline FILE] [--update-baseline]\n"
             << "                      [--sarif FILE] [--cache FILE] "
-               "[--rules R1,R2,...] [--list-rules]\n";
+               "[--list-rules]\n";
   return 2;
 }
 
@@ -66,23 +63,8 @@ bool parse_args(int argc, char** argv, Options& opts, int& exit_code) {
       const char* v = value("--cache");
       if (v == nullptr) return false;
       opts.cache_path = v;
-    } else if (arg == "--rules") {
-      const char* v = value("--rules");
-      if (v == nullptr) return false;
-      std::string token;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!token.empty()) opts.rules.enabled.insert(token);
-          token.clear();
-          if (*p == '\0') break;
-        } else {
-          token.push_back(*p);
-        }
-      }
     } else if (arg == "--update-baseline") {
       opts.update_baseline = true;
-    } else if (arg == "--show-baselined") {
-      opts.show_baselined = true;
     } else if (arg == "--list-rules") {
       opts.list_rules = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -172,11 +154,9 @@ int main(int argc, char** argv) {
   }
   registry.finalize();
 
-  // Rule-set hash: cache entries die when the enabled set or catalog
-  // text changes.
+  // Rule-set hash: cache entries die when the catalog text changes.
   std::uint64_t rules_hash = fnv1a("netqos-analyze rules v1");
   for (const auto& [rule, description] : rule_catalog()) {
-    if (!opts.rules.rule_on(rule)) continue;
     rules_hash = fnv1a(rule, rules_hash);
     rules_hash = fnv1a(description, rules_hash);
   }
@@ -193,8 +173,7 @@ int main(int argc, char** argv) {
         cache.lookup(sources[i].path, sources[i].content_hash,
                      registry.content_hash, rules_hash, file_findings);
     if (!cached) {
-      file_findings =
-          run_rules(sources[i], syntaxes[i], registry, opts.rules);
+      file_findings = run_rules(sources[i], syntaxes[i], registry);
       if (!opts.cache_path.empty()) {
         cache.store(sources[i].path, sources[i].content_hash,
                     registry.content_hash, rules_hash, file_findings);
@@ -236,9 +215,6 @@ int main(int argc, char** argv) {
   for (const Finding& f : findings) {
     if (baseline.contains(f)) {
       ++baselined;
-      if (opts.show_baselined) {
-        std::printf("%s [baselined]\n", f.render().c_str());
-      }
     } else {
       ++fresh;
       std::printf("%s\n", f.render().c_str());

@@ -1,6 +1,6 @@
 // Flow-sensitive rules R6-R8 — the reason this engine exists. Each rule
-// walks the per-function statement stream in execution order, which the
-// line-regex linter cannot do:
+// walks the per-function statement stream in execution order, which
+// R1-R5's pattern matches cannot do:
 //
 //   R6  tracks wire-derived integers (ByteReader reads, view accessors,
 //       std::get_if on wire variants) through assignments until either a
@@ -646,17 +646,16 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
 }
 
 std::vector<Finding> run_rules(const SourceFile& file, const Syntax& syntax,
-                               const EnumRegistry& registry,
-                               const RuleOptions& options) {
+                               const EnumRegistry& registry) {
   RuleContext ctx(file, syntax, registry);
-  if (options.rule_on("R1")) check_r1(ctx);
-  if (options.rule_on("R2")) check_r2(ctx);
-  if (options.rule_on("R3")) check_r3(ctx);
-  if (options.rule_on("R4")) check_r4(ctx);
-  if (options.rule_on("R5")) check_r5(ctx);
-  if (options.rule_on("R6")) check_r6(ctx);
-  if (options.rule_on("R7")) check_r7(ctx);
-  if (options.rule_on("R8")) check_r8(ctx);
+  check_r1(ctx);
+  check_r2(ctx);
+  check_r3(ctx);
+  check_r4(ctx);
+  check_r5(ctx);
+  check_r6(ctx);
+  check_r7(ctx);
+  check_r8(ctx);
   return std::move(ctx.findings);
 }
 

@@ -1,4 +1,4 @@
-// Shared state between the ported legacy rules (R1-R5) and the
+// Shared state between the pattern rules (R1-R5) and the
 // flow-sensitive rules (R6-R8): allow-comment suppression, finding
 // dedup, and the per-file inputs every rule walks.
 #pragma once
@@ -29,7 +29,7 @@ struct RuleContext {
   }
 };
 
-// rules_legacy.cpp — ports of netqos_lint.py R1-R5.
+// rules_legacy.cpp — pattern rules.
 void check_r1(RuleContext& ctx);
 void check_r2(RuleContext& ctx);
 void check_r3(RuleContext& ctx);

@@ -1,8 +1,8 @@
-// Ports of netqos_lint.py rules R1-R5. Every matcher here mirrors the
-// Python regex it replaces, quirks included — scripts/lint.sh runs both
-// tools over the fixture corpus and fails on any verdict difference, so
-// "close enough" is not close enough. Comments call out the original
-// pattern being ported.
+// Pattern rules R1-R5 over masked source, scoped by the syntax layer's
+// function and try-block spans. Each matcher implements the regular
+// expression named and quoted in the comment above it (the *_RE names);
+// tests/lint/goldens/fixture_verdicts.txt pins the exact line of every
+// finding they raise on the fixture corpus.
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -151,8 +151,8 @@ void check_r1(RuleContext& ctx) {
     return;
   }
   const std::vector<Token>& tokens = ctx.syntax.tokens;
-  // R1_CALL_RE call sites: position/label pairs, positions matching the
-  // Python match starts ('.' included for member calls).
+  // R1_CALL_RE call sites: position/label pairs, each position at the
+  // start of the match ('.' included for member calls).
   struct Call {
     std::size_t pos;
     std::string label;

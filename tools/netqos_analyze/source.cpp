@@ -1,9 +1,8 @@
 // Source layer: file loading, comment/string masking, line mapping, and
 // the FNV-1a content hashing behind baseline keys and the result cache.
 //
-// mask_code is a faithful port of netqos_lint.py's masker — the parity
-// gate in scripts/lint.sh depends on the two producing the same masked
-// text (same offsets, newlines preserved).
+// mask_code keeps every offset and newline, so a position in the masked
+// text is the same line and column in the raw text.
 #include "analyze.h"
 
 #include <algorithm>

@@ -1,9 +1,9 @@
 // Syntax layer: tokenizer plus best-effort discovery of function bodies,
 // try/catch blocks, switch statements, and enum definitions over masked
-// text. Function and try-block discovery are ports of netqos_lint.py's
-// finders, quirks included (e.g. a constructor with a parenthesized
-// member-initialiser list is not recognised as a function body) — R1-R5
-// parity on the fixture corpus depends on identical spans.
+// text. Function discovery does not recognise a constructor with a
+// parenthesized member-initialiser list as a function body; R1-R5 scope
+// their checks by these spans, so changing that moves verdicts pinned in
+// tests/lint/goldens/fixture_verdicts.txt.
 #include "analyze.h"
 
 #include <algorithm>
@@ -131,7 +131,7 @@ const Function* Syntax::innermost_function(std::size_t offset) const {
 namespace {
 
 /// NAME(args) chains followed (within 400 chars of decoration that never
-/// hits `;,)=}`) by `{`. Mirrors netqos_lint.py find_functions.
+/// hits `;,)=}`) by `{`.
 void find_functions(const SourceFile& file, const std::vector<Token>& tokens,
                     std::vector<Function>& out) {
   const std::string_view masked = file.masked;
