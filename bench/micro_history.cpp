@@ -6,11 +6,17 @@
 // the predictive detector) and must stay cheap at any retention depth.
 // Each measurement is printed as a table row and written to
 // micro_history.jsonl (one JSON object per line) for CI to archive.
+//
+// A window query must not allocate: the binary counts operator new
+// calls (wallbench's heap.h tally) inside both window-query loops,
+// reports allocs_per_op, and exits nonzero if either loop allocated.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
+#include "heap.h"
 #include "history/store.h"
 
 using namespace netqos;
@@ -26,6 +32,8 @@ struct Measurement {
   double ns_per_op = 0.0;
   double extra = 0.0;  // bench-specific (bytes, samples, ...)
   std::string extra_name;
+  /// operator new calls per op; negative when the loop is not counted.
+  double allocs_per_op = -1.0;
 };
 
 std::vector<Measurement> g_results;
@@ -35,6 +43,9 @@ void report(const Measurement& m) {
               m.ns_per_op);
   if (!m.extra_name.empty()) {
     std::printf("  %s=%.0f", m.extra_name.c_str(), m.extra);
+  }
+  if (m.allocs_per_op >= 0.0) {
+    std::printf("  allocs_per_op=%g", m.allocs_per_op);
   }
   std::printf("\n");
   g_results.push_back(m);
@@ -71,7 +82,8 @@ void bench_series_append() {
   report(m);
 }
 
-void bench_window_query(const char* name, SimDuration window) {
+/// Times a trailing-window query; returns false if any query allocated.
+bool bench_window_query(const char* name, SimDuration window) {
   // Fill well past every tier's horizon so the query planner exercises
   // its fallback logic, then query the trailing window repeatedly.
   constexpr std::size_t kFill = 100'000;
@@ -82,12 +94,15 @@ void bench_window_query(const char* name, SimDuration window) {
   }
   const SimTime end = 2 * kSecond * static_cast<std::int64_t>(kFill);
   double checksum = 0.0;
+  const std::uint64_t allocations_before = wallbench::alloc_tally().calls;
   const auto start = Clock::now();
   for (std::size_t i = 0; i < kOps; ++i) {
     const WindowSummary summary = series.query(end - window, end);
     checksum += summary.mean;  // defeat dead-code elimination
   }
   const auto stop = Clock::now();
+  const std::uint64_t allocations =
+      wallbench::alloc_tally().calls - allocations_before;
   Measurement m;
   m.bench = name;
   m.ops = kOps;
@@ -95,7 +110,15 @@ void bench_window_query(const char* name, SimDuration window) {
       std::chrono::duration<double, std::nano>(stop - start).count() / kOps;
   m.extra = checksum / static_cast<double>(kOps);
   m.extra_name = "mean";
+  m.allocs_per_op =
+      static_cast<double>(allocations) / static_cast<double>(kOps);
   report(m);
+  if (allocations != 0) {
+    std::fprintf(stderr, "FAIL: %s allocated %llu times in %zu queries\n",
+                 name, static_cast<unsigned long long>(allocations), kOps);
+    return false;
+  }
+  return true;
 }
 
 void bench_store_fanout() {
@@ -166,8 +189,10 @@ bool check_footprint_flat() {
 int main() {
   std::printf("=== micro_history: bounded history store hot paths ===\n\n");
   bench_series_append();
-  bench_window_query("window_query_raw", seconds(60));
-  bench_window_query("window_query_downsampled", seconds(3600));
+  const bool raw_alloc_free =
+      bench_window_query("window_query_raw", seconds(60));
+  const bool downsampled_alloc_free =
+      bench_window_query("window_query_downsampled", seconds(3600));
   bench_store_fanout();
   const bool flat = check_footprint_flat();
 
@@ -178,9 +203,12 @@ int main() {
     if (!m.extra_name.empty()) {
       out << ",\"" << m.extra_name << "\":" << m.extra;
     }
+    if (m.allocs_per_op >= 0.0) {
+      out << ",\"allocs_per_op\":" << m.allocs_per_op;
+    }
     out << "}\n";
   }
   std::printf("\nwrote %zu measurements to micro_history.jsonl\n",
               g_results.size());
-  return flat ? 0 : 1;
+  return flat && raw_alloc_free && downsampled_alloc_free ? 0 : 1;
 }

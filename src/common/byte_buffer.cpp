@@ -2,21 +2,6 @@
 
 namespace netqos {
 
-void ByteWriter::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v >> 8));
-  put_u8(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::put_u32(std::uint32_t v) {
-  put_u16(static_cast<std::uint16_t>(v >> 16));
-  put_u16(static_cast<std::uint16_t>(v));
-}
-
-void ByteWriter::put_u64(std::uint64_t v) {
-  put_u32(static_cast<std::uint32_t>(v >> 32));
-  put_u32(static_cast<std::uint32_t>(v));
-}
-
 void ByteWriter::put_bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
@@ -32,31 +17,17 @@ void ByteWriter::patch_u8(std::size_t offset, std::uint8_t v) {
   out_[offset] = v;
 }
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw BufferUnderflow("need " + std::to_string(n) + " bytes, have " +
-                          std::to_string(remaining()));
+void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
+  if (offset > out_.size() || out_.size() - offset < sizeof(v)) {
+    throw std::out_of_range("ByteWriter::patch_u32 past end");
   }
+  const std::uint32_t wire = detail::big_endian(v);
+  std::memcpy(out_.data() + offset, &wire, sizeof(wire));
 }
 
-std::uint8_t ByteReader::get_u8() {
-  require(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::get_u16() {
-  const auto hi = get_u8();
-  return static_cast<std::uint16_t>((hi << 8) | get_u8());
-}
-
-std::uint32_t ByteReader::get_u32() {
-  const auto hi = get_u16();
-  return (static_cast<std::uint32_t>(hi) << 16) | get_u16();
-}
-
-std::uint64_t ByteReader::get_u64() {
-  const auto hi = get_u32();
-  return (static_cast<std::uint64_t>(hi) << 32) | get_u32();
+void ByteReader::underflow(std::size_t n) const {
+  throw BufferUnderflow("need " + std::to_string(n) + " bytes, have " +
+                        std::to_string(remaining()));
 }
 
 std::span<const std::uint8_t> ByteReader::get_bytes(std::size_t n) {
@@ -69,11 +40,6 @@ std::span<const std::uint8_t> ByteReader::get_bytes(std::size_t n) {
 std::string ByteReader::get_string(std::size_t n) {
   auto view = get_bytes(n);
   return std::string(view.begin(), view.end());
-}
-
-std::uint8_t ByteReader::peek_u8() const {
-  require(1);
-  return data_[pos_];
 }
 
 }  // namespace netqos

@@ -56,25 +56,27 @@ void Histogram::add(double x) {
   sum_ += x;
 }
 
-double Histogram::percentile(double q) const {
-  if (count_ == 0) return 0.0;
+double bucket_percentile(std::span<const double> bounds,
+                         std::span<const std::size_t> counts,
+                         std::size_t total, double first_lower, double q) {
+  if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count_);
+  const double rank = q * static_cast<double>(total);
   std::size_t cumulative = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t next = cumulative + counts_[b];
-    if (static_cast<double>(next) >= rank && counts_[b] > 0) {
-      if (b == counts_.size() - 1) return bounds_.back();  // +Inf bucket
-      const double lower = b == 0 ? 0.0 : bounds_[b - 1];
-      const double upper = bounds_[b];
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    const std::size_t next = cumulative + counts[b];
+    if (static_cast<double>(next) >= rank && counts[b] > 0) {
+      if (b == counts.size() - 1) return bounds.back();  // overflow bucket
+      const double lower = b == 0 ? first_lower : bounds[b - 1];
+      const double upper = bounds[b];
       const double fraction =
           (rank - static_cast<double>(cumulative)) /
-          static_cast<double>(counts_[b]);
+          static_cast<double>(counts[b]);
       return lower + (upper - lower) * std::clamp(fraction, 0.0, 1.0);
     }
     cumulative = next;
   }
-  return bounds_.back();
+  return bounds.back();
 }
 
 RunningStats TimeSeries::stats_between(SimTime begin, SimTime end) const {

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -30,6 +31,17 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Value at quantile q in [0, 1] of a fixed-bucket histogram, by linear
+/// interpolation within the containing bucket. `counts` holds one entry
+/// per finite upper bound in `bounds` (ascending) plus a last overflow
+/// entry, `total` their sum; bucket 0 spans [first_lower, bounds[0]].
+/// Returns 0 when total is 0; a quantile in the overflow bucket clamps to
+/// the largest finite bound. Histogram::percentile and the history
+/// store's windowed p95 share this one implementation.
+double bucket_percentile(std::span<const double> bounds,
+                         std::span<const std::size_t> counts,
+                         std::size_t total, double first_lower, double q);
 
 /// Fixed-bucket histogram: observations are sorted into buckets delimited
 /// by a fixed, ascending list of upper bounds, with an implicit +Inf
@@ -62,9 +74,12 @@ class Histogram {
   const std::vector<std::size_t>& bucket_counts() const { return counts_; }
 
   /// Approximate value at quantile q in [0, 1] by linear interpolation
-  /// within the containing bucket. Returns 0 when empty. Values in the
-  /// overflow bucket clamp to the largest finite bound.
-  double percentile(double q) const;
+  /// within the containing bucket (bucket_percentile with bucket 0's
+  /// lower edge at 0). Returns 0 when empty. Values in the overflow
+  /// bucket clamp to the largest finite bound.
+  double percentile(double q) const {
+    return bucket_percentile(bounds_, counts_, count_, 0.0, q);
+  }
 
  private:
   std::vector<double> bounds_;

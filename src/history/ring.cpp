@@ -25,10 +25,7 @@ SimTime RingTier::bucket_start(SimTime t) const {
   return q * width_;
 }
 
-const Bucket& RingTier::at(std::size_t index) const {
-  if (index >= size_) throw std::out_of_range("RingTier::at");
-  return buckets_[(head_ + index) % buckets_.size()];
-}
+void RingTier::out_of_range() { throw std::out_of_range("RingTier::at"); }
 
 std::optional<SimTime> RingTier::oldest_start() const {
   if (size_ == 0) return std::nullopt;
@@ -39,6 +36,37 @@ bool RingTier::overlaps(const Bucket& bucket, SimTime begin,
                         SimTime end) const {
   if (width_ == 0) return bucket.start >= begin && bucket.start < end;
   return bucket.start < end && bucket.start + width_ > begin;
+}
+
+template <typename Before>
+std::size_t RingTier::partition_point(Before before) const {
+  std::size_t lo = 0;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (before(slot(mid))) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+std::pair<std::size_t, std::size_t> RingTier::overlapping(SimTime begin,
+                                                          SimTime end) const {
+  // overlaps() is "ends after begin" and "starts before end"; each half
+  // is monotone in the ascending starts. The expressions mirror it.
+  const std::size_t first =
+      width_ == 0 ? partition_point([&](const Bucket& b) {
+        return !(b.start >= begin);
+      })
+                  : partition_point([&](const Bucket& b) {
+                      return !(b.start + width_ > begin);
+                    });
+  const std::size_t last =
+      partition_point([&](const Bucket& b) { return b.start < end; });
+  return {first, last > first ? last : first};
 }
 
 RingTier::Append RingTier::add(SimTime t, double v, bool* evicted) {

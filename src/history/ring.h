@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -56,7 +57,10 @@ class RingTier {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   /// Bucket by age: index 0 is the oldest retained bucket.
-  const Bucket& at(std::size_t index) const;
+  const Bucket& at(std::size_t index) const {
+    if (index >= size_) out_of_range();
+    return slot(index);
+  }
   const Bucket& newest() const { return at(size_ - 1); }
 
   /// Start time of the oldest retained bucket; nullopt when empty. A
@@ -67,6 +71,13 @@ class RingTier {
   /// width tiers cover [start, start + width).
   bool overlaps(const Bucket& bucket, SimTime begin, SimTime end) const;
 
+  /// The [first, last) index range of exactly the buckets overlaps()
+  /// accepts for [begin, end), by two binary searches: bucket starts
+  /// strictly ascend with index, so the accepted buckets are contiguous.
+  /// first == last when none overlaps.
+  std::pair<std::size_t, std::size_t> overlapping(SimTime begin,
+                                                  SimTime end) const;
+
   /// Bytes permanently reserved by this tier: the preallocated bucket
   /// array. Independent of how many samples were ever appended.
   std::size_t footprint_bytes() const {
@@ -76,6 +87,16 @@ class RingTier {
  private:
   /// Start of the bucket containing t (identity for raw tiers).
   SimTime bucket_start(SimTime t) const;
+  [[noreturn]] static void out_of_range();
+  /// Bucket by age without the range check.
+  const Bucket& slot(std::size_t index) const {
+    const std::size_t at = head_ + index;
+    return buckets_[at < buckets_.size() ? at : at - buckets_.size()];
+  }
+  /// First index in [0, size) whose bucket fails `before`, which must
+  /// hold for a prefix of the ring and fail for the rest.
+  template <typename Before>
+  std::size_t partition_point(Before before) const;
 
   SimDuration width_;
   std::vector<Bucket> buckets_;  ///< circular storage, never reallocated

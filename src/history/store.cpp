@@ -1,6 +1,7 @@
 #include "history/store.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace netqos::hist {
@@ -86,47 +87,50 @@ WindowSummary Series::query(SimTime begin, SimTime end) const {
   summary.resolution = tier->width();
   summary.complete = complete;
 
-  double min = 0.0;
-  double max = 0.0;
+  const auto [first, last] = tier->overlapping(begin, end);
+  summary.buckets = last - first;
+  if (first == last) return summary;
+
+  // Pass 1: extremes, sum and sample count over the window's buckets.
+  double min = tier->at(first).min;
+  double max = tier->at(first).max;
   double sum = 0.0;
-  std::vector<const Bucket*> hits;
-  for (std::size_t i = 0; i < tier->size(); ++i) {
+  for (std::size_t i = first; i < last; ++i) {
     const Bucket& bucket = tier->at(i);
-    if (!tier->overlaps(bucket, begin, end)) continue;
-    if (hits.empty() || bucket.min < min) min = bucket.min;
-    if (hits.empty() || bucket.max > max) max = bucket.max;
+    if (bucket.min < min) min = bucket.min;
+    if (bucket.max > max) max = bucket.max;
     sum += bucket.sum;
     summary.samples += bucket.count;
-    hits.push_back(&bucket);
   }
-  summary.buckets = hits.size();
-  if (summary.samples == 0) return summary;
   summary.min = min;
   summary.max = max;
   summary.mean = sum / static_cast<double>(summary.samples);
 
-  // p95 via the shared fixed-bucket Histogram: 32 linear bins spanning
-  // the window's own [min, max]. Bucket means enter count-weighted; on
-  // the raw tier every bucket is a single sample, so this is the exact
-  // per-sample distribution up to bin interpolation.
+  // Pass 2: p95 over 32 linear bins spanning the window's own [min, max],
+  // the first starting at min. Bucket means enter count-weighted; on the
+  // raw tier every bucket is a single sample, so this is the exact
+  // per-sample distribution up to bin interpolation. The bounds repeat
+  // when max - min is a few ulps, but never descend, which is all the
+  // bin search and the interpolation need.
   if (max <= min) {
     summary.p95 = max;
-  } else {
-    constexpr std::size_t kBins = 32;
-    std::vector<double> bounds;
-    bounds.reserve(kBins);
-    const double step = (max - min) / static_cast<double>(kBins);
-    for (std::size_t i = 1; i <= kBins; ++i) {
-      bounds.push_back(min + step * static_cast<double>(i));
-    }
-    Histogram histogram(std::move(bounds));
-    for (const Bucket* bucket : hits) {
-      for (std::size_t c = 0; c < bucket->count; ++c) {
-        histogram.add(bucket->mean());
-      }
-    }
-    summary.p95 = histogram.percentile(0.95);
+    return summary;
   }
+  constexpr std::size_t kBins = 32;
+  std::array<double, kBins> bounds;
+  std::array<std::size_t, kBins + 1> counts{};
+  const double step = (max - min) / static_cast<double>(kBins);
+  for (std::size_t i = 0; i < kBins; ++i) {
+    bounds[i] = min + step * static_cast<double>(i + 1);
+  }
+  for (std::size_t i = first; i < last; ++i) {
+    const Bucket& bucket = tier->at(i);
+    const auto bin = std::lower_bound(bounds.begin(), bounds.end(),
+                                      bucket.mean()) -
+                     bounds.begin();
+    counts[static_cast<std::size_t>(bin)] += bucket.count;
+  }
+  summary.p95 = bucket_percentile(bounds, counts, summary.samples, min, 0.95);
   return summary;
 }
 
@@ -211,12 +215,12 @@ void HistoryStore::append(const std::string& key, SimTime t, double v) {
   }
 }
 
-const Series* HistoryStore::find(const std::string& key) const {
+const Series* HistoryStore::find(std::string_view key) const {
   auto it = series_.find(key);
   return it == series_.end() ? nullptr : &it->second;
 }
 
-WindowSummary HistoryStore::query(const std::string& key, SimTime begin,
+WindowSummary HistoryStore::query(std::string_view key, SimTime begin,
                                   SimTime end) const {
   if (queries_ != nullptr) queries_->inc();
   const Series* entry = find(key);
@@ -224,11 +228,10 @@ WindowSummary HistoryStore::query(const std::string& key, SimTime begin,
   return entry->query(begin, end);
 }
 
-std::vector<std::string> HistoryStore::keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(series_.size());
-  for (const auto& [key, value] : series_) keys.push_back(key);
-  return keys;
+WindowSummary HistoryStore::query(const Series& series, SimTime begin,
+                                  SimTime end) const {
+  if (queries_ != nullptr) queries_->inc();
+  return series.query(begin, end);
 }
 
 std::size_t HistoryStore::footprint_bytes() const {

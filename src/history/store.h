@@ -11,9 +11,11 @@
 // old windows degrade gracefully instead of disappearing.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -49,8 +51,11 @@ struct WindowSummary {
   double min = 0.0;
   double mean = 0.0;
   double max = 0.0;
-  /// Approximate 95th percentile (Histogram::percentile over the window's
-  /// bucket means, count-weighted; exact sample values on the raw tier).
+  /// Approximate 95th percentile: 32 linear bins over [min, max], the
+  /// first starting at min, filled with the window's bucket means
+  /// count-weighted (exact sample values on the raw tier) and read by
+  /// bucket_percentile. Never below min; never above max by more than the
+  /// rounding of the top bin bound.
   double p95 = 0.0;
   /// Width of the tier that answered (0 = raw resolution).
   SimDuration resolution = 0;
@@ -115,14 +120,29 @@ class HistoryStore {
   void append(const std::string& key, SimTime t, double v);
 
   /// Series lookup; nullptr when the key has never been appended to.
-  const Series* find(const std::string& key) const;
+  const Series* find(std::string_view key) const;
 
   /// Windowed query; a summary with samples == 0 when the key is unknown.
-  WindowSummary query(const std::string& key, SimTime begin,
+  /// Each call counts one query.
+  WindowSummary query(std::string_view key, SimTime begin,
+                      SimTime end) const;
+  /// Windowed query of a series visited through visit_prefix();
+  /// counts one query like the keyed overload, without the lookup.
+  WindowSummary query(const Series& series, SimTime begin,
                       SimTime end) const;
 
+  /// Calls visit(key, series) for every series whose key starts with
+  /// `prefix`, in key order, without copying a key. Keys sharing a longer
+  /// prefix ("if:<node>/") are therefore visited as one adjacent run.
+  template <typename Visit>
+  void visit_prefix(std::string_view prefix, Visit&& visit) const {
+    for (auto it = series_.lower_bound(prefix);
+         it != series_.end() && it->first.starts_with(prefix); ++it) {
+      visit(it->first, it->second);
+    }
+  }
+
   std::size_t series_count() const { return series_.size(); }
-  std::vector<std::string> keys() const;
 
   /// Fixed bytes reserved by all series' rings. Grows only when a new
   /// *series* appears, never with samples appended — the bound the
@@ -137,7 +157,7 @@ class HistoryStore {
   Series& series(const std::string& key);
 
   RetentionPolicy policy_;
-  std::map<std::string, Series> series_;
+  std::map<std::string, Series, std::less<>> series_;
 
   obs::Counter* samples_ = nullptr;
   obs::Counter* merges_ = nullptr;

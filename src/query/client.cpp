@@ -51,7 +51,7 @@ void QueryClient::send_request(Message message, Callback callback) {
   message.header.request_id = request_id;
   message.header.sent_at = sim_.now();
 
-  Bytes wire = encode_message(message);
+  Bytes wire = encode_message(message, sim_.buffer_pool().acquire());
   const std::size_t size = wire.size();
   if (!host_.udp().send(server_, config_.server_port, src_port_,
                         std::move(wire))) {

@@ -1,7 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 
 #include "history/store.h"
 
@@ -55,7 +55,7 @@ void merge_into(WindowRow& into, const hist::WindowSummary& summary) {
   into.samples += static_cast<std::uint32_t>(summary.samples);
 }
 
-constexpr const char* kInterfacePrefix = "if:";
+constexpr std::string_view kInterfacePrefix = "if:";
 
 }  // namespace
 
@@ -92,14 +92,13 @@ void QueryEngine::interface_rows(const std::string& selector, SimTime begin,
                                  SimTime end,
                                  std::vector<WindowRow>& rows) const {
   const hist::HistoryStore& store = monitor_.stats_db().history();
-  for (const std::string& key : store.keys()) {
-    if (!key.starts_with(kInterfacePrefix) || !selected(key, selector)) {
-      continue;
-    }
-    const hist::WindowSummary summary = store.query(key, begin, end);
-    if (summary.samples == 0) continue;
+  store.visit_prefix(kInterfacePrefix, [&](const std::string& key,
+                                           const hist::Series& series) {
+    if (!selected(key, selector)) return;
+    const hist::WindowSummary summary = store.query(series, begin, end);
+    if (summary.samples == 0) return;
     rows.push_back(row_from_summary(key, summary));
-  }
+  });
 }
 
 void QueryEngine::path_rows(const std::string& selector, SimTime begin,
@@ -119,25 +118,34 @@ void QueryEngine::path_rows(const std::string& selector, SimTime begin,
 void QueryEngine::host_rows(const std::string& selector, SimTime begin,
                             SimTime end, std::vector<WindowRow>& rows) const {
   const hist::HistoryStore& store = monitor_.stats_db().history();
-  std::map<std::string, WindowRow> hosts;
-  for (const std::string& key : store.keys()) {
-    if (!key.starts_with(kInterfacePrefix)) continue;
-    // "if:<node>/<ifDescr>" — the node is the host grouping key.
-    const std::size_t name_begin = std::string(kInterfacePrefix).size();
+  // "if:<node>/<ifDescr>": the node is the host grouping key. The store
+  // visits keys in order, so one node's interfaces form an adjacent run
+  // (they share the prefix "if:<node>/"); each run merges into one row.
+  WindowRow host;
+  std::string_view node;
+  bool in_run = false;
+  bool node_selected = false;
+  const auto finish_run = [&] {
+    if (host.samples != 0) rows.push_back(std::move(host));
+  };
+  store.visit_prefix(kInterfacePrefix, [&](const std::string& key,
+                                           const hist::Series& series) {
+    const std::size_t name_begin = kInterfacePrefix.size();
     const std::size_t slash = key.find('/', name_begin);
-    if (slash == std::string::npos) continue;
-    const std::string node = key.substr(name_begin, slash - name_begin);
-    const std::string host_key = "host:" + node;
-    if (!selected(host_key, selector)) continue;
-    const hist::WindowSummary summary = store.query(key, begin, end);
-    auto [it, inserted] = hosts.try_emplace(host_key);
-    if (inserted) it->second.key = host_key;
-    merge_into(it->second, summary);
-  }
-  for (auto& [key, row] : hosts) {
-    if (row.samples == 0) continue;
-    rows.push_back(std::move(row));
-  }
+    if (slash == std::string::npos) return;
+    const std::string_view key_node =
+        std::string_view(key).substr(name_begin, slash - name_begin);
+    if (!in_run || key_node != node) {
+      finish_run();
+      in_run = true;
+      node = key_node;
+      host = WindowRow{};
+      host.key.assign("host:").append(node);
+      node_selected = selected(host.key, selector);
+    }
+    if (node_selected) merge_into(host, store.query(series, begin, end));
+  });
+  finish_run();
 }
 
 HealthResponse QueryEngine::health(SimTime now) const {

@@ -329,19 +329,17 @@ const char* event_kind_name(Event::Kind kind) {
   return "?";
 }
 
-Bytes encode_message(const Message& message) {
-  ByteWriter body;
-  body.put_u16(kMagic);
-  body.put_u8(kProtocolVersion);
-  body.put_u8(static_cast<std::uint8_t>(message.header.type));
-  body.put_u32(message.header.request_id);
-  body.put_u64(static_cast<std::uint64_t>(message.header.sent_at));
-  encode_body(body, message);
-
-  ByteWriter frame;
-  frame.put_u32(static_cast<std::uint32_t>(body.size()));
-  frame.put_bytes(body.bytes());
-  return std::move(frame).take();
+Bytes encode_message(const Message& message, Bytes reuse) {
+  ByteWriter out(std::move(reuse));
+  out.put_u32(0);  // length prefix, patched once the body is written
+  out.put_u16(kMagic);
+  out.put_u8(kProtocolVersion);
+  out.put_u8(static_cast<std::uint8_t>(message.header.type));
+  out.put_u32(message.header.request_id);
+  out.put_u64(static_cast<std::uint64_t>(message.header.sent_at));
+  encode_body(out, message);
+  out.patch_u32(0, static_cast<std::uint32_t>(out.size() - 4));
+  return std::move(out).take();
 }
 
 Message decode_message(std::span<const std::uint8_t> wire) {

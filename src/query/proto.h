@@ -203,8 +203,11 @@ struct Message {
   std::string error;
 };
 
-/// Encodes one frame (length prefix included) ready for a UDP payload.
-Bytes encode_message(const Message& message);
+/// Encodes one frame (length prefix included) ready for a UDP payload,
+/// in one pass into `reuse`'s heap capacity (its contents are discarded;
+/// pass a buffer from the simulator's BufferPool to encode without
+/// allocating).
+Bytes encode_message(const Message& message, Bytes reuse = {});
 
 /// Decodes one frame; throws ProtocolError on bad magic/version/length
 /// and BufferUnderflow on truncation.

@@ -220,7 +220,7 @@ void QueryServer::reply(const sim::Ipv4Packet& request,
 
 bool QueryServer::send_to(sim::Ipv4Address address, std::uint16_t port,
                           const Message& message) {
-  Bytes wire = encode_message(message);
+  Bytes wire = encode_message(message, sim_.buffer_pool().acquire());
   const std::size_t size = wire.size();
   if (!station_.udp().send(address, port, config_.port, std::move(wire))) {
     return false;

@@ -45,6 +45,37 @@ TEST(ByteWriter, PatchPastEndThrows) {
   EXPECT_THROW(w.patch_u8(1, 0), std::out_of_range);
 }
 
+TEST(ByteWriter, PatchU32OverwritesBigEndianWord) {
+  ByteWriter w;
+  w.put_u8(0xaa);
+  w.put_u32(0);
+  w.put_u8(0xbb);
+  w.patch_u32(1, 0x01020304);
+  const Bytes expected{0xaa, 0x01, 0x02, 0x03, 0x04, 0xbb};
+  EXPECT_EQ(w.bytes(), expected);
+}
+
+TEST(ByteWriter, PatchU32PastEndThrows) {
+  ByteWriter w;
+  w.put_u32(0);
+  EXPECT_NO_THROW(w.patch_u32(0, 1));
+  EXPECT_THROW(w.patch_u32(1, 1), std::out_of_range);
+  EXPECT_THROW(w.patch_u32(5, 1), std::out_of_range);
+}
+
+TEST(ByteWriter, ReusedBufferStartsEmptyAndKeepsCapacity) {
+  Bytes buffer(64, 0xee);
+  const std::uint8_t* storage = buffer.data();
+  ByteWriter w(std::move(buffer));
+  EXPECT_EQ(w.size(), 0u);
+  w.put_u16(0x0102);
+  w.put_u64(0x030405060708090aULL);
+  const Bytes expected{0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
+                       0x07, 0x08, 0x09, 0x0a};
+  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(w.bytes().data(), storage);
+}
+
 TEST(ByteWriter, TakeMovesBuffer) {
   ByteWriter w;
   w.put_u8(7);
@@ -80,6 +111,20 @@ TEST(ByteReader, GetU32UnderflowThrows) {
   const Bytes data{0x01, 0x02};
   ByteReader r(data);
   EXPECT_THROW(r.get_u32(), BufferUnderflow);
+}
+
+TEST(ByteReader, ShortWordReadConsumesNothing) {
+  // Each word is one bounds check: a read that does not fit throws
+  // before taking any byte, whatever its width.
+  const Bytes data{0x01, 0x02, 0x03};
+  ByteReader r(data);
+  EXPECT_THROW(r.get_u64(), BufferUnderflow);
+  EXPECT_THROW(r.get_u32(), BufferUnderflow);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_EQ(r.get_u16(), 0x0102);
+  EXPECT_THROW(r.get_u16(), BufferUnderflow);
+  EXPECT_EQ(r.get_u8(), 0x03);
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(ByteReader, PeekDoesNotConsume) {

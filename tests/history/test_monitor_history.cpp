@@ -39,7 +39,7 @@ TEST(MonitorHistory, StoreBackedSeriesMatchesCallbackSamples) {
   TimeSeries observed_used;
   TimeSeries observed_avail;
   bed.monitor().add_sample_callback(
-      [&](const PathKey& key, SimTime time, const PathUsage& usage) {
+      [&](const PathKey&, SimTime time, const PathUsage& usage) {
         if (!usage.complete) return;
         observed_used.add(time, usage.used_at_bottleneck);
         observed_avail.add(time, usage.available);

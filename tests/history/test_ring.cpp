@@ -96,7 +96,9 @@ TEST(RingTier, OddSampleCadenceKeepsInvariants) {
     EXPECT_GE(b.last, b.min);
     EXPECT_LE(b.last, b.max);
     EXPECT_EQ(b.start % (10 * kSecond), 0);
-    if (i > 0) EXPECT_LT(tier.at(i - 1).start, b.start);
+    if (i > 0) {
+      EXPECT_LT(tier.at(i - 1).start, b.start);
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "obs/metrics.h"
 
 namespace netqos::hist {
@@ -170,6 +174,69 @@ TEST(HistoryStoreTest, MetricsTrackOccupancyAndFootprint) {
                    static_cast<double>(store.find("k")->bucket_count()));
   EXPECT_DOUBLE_EQ(footprint, static_cast<double>(store.footprint_bytes()));
   EXPECT_DOUBLE_EQ(samples, 500.0);
+}
+
+TEST(HistoryStoreTest, VisitPrefixWalksMatchingKeysInOrderAndCountsQueries) {
+  obs::MetricsRegistry registry;
+  HistoryStore store(small_policy());
+  store.attach_metrics(registry);
+  for (const char* key : {"if:b/eth0", "conn:1", "if:a/eth1", "if:a/eth0",
+                          "path:a|b:used", "if", "ig:x"}) {
+    store.append(key, seconds(1), 1.0);
+  }
+  std::vector<std::string> visited;
+  store.visit_prefix("if:", [&](const std::string& key, const Series& series) {
+    visited.push_back(key);
+    EXPECT_EQ(&series, store.find(key));
+    EXPECT_EQ(store.query(series, 0, seconds(2)).samples, 1u);
+  });
+  EXPECT_EQ(visited, (std::vector<std::string>{"if:a/eth0", "if:a/eth1",
+                                                "if:b/eth0"}));
+  std::size_t all = 0;
+  store.visit_prefix("", [&](const std::string&, const Series&) { ++all; });
+  EXPECT_EQ(all, store.series_count());
+  store.visit_prefix("zz", [&](const std::string& key, const Series&) {
+    ADD_FAILURE() << "unexpected key " << key;
+  });
+
+  // The series overload counts like the keyed one (unknown keys too).
+  store.query("if:a/eth0", 0, seconds(2));
+  store.query("missing", 0, seconds(2));
+  EXPECT_DOUBLE_EQ(
+      registry.counter("netqos_history_queries_total", "").value(), 5.0);
+}
+
+TEST(Series, P95NeverFallsBelowTheWindowMin) {
+  // 99 samples of 1000 then one of 2000: the 95th percentile lies in the
+  // first of the 32 bins, [1000, 1031.25]. That bin starts at the window
+  // min; interpolating it up from 0 put p95 at 989.58, below every
+  // sample in the window.
+  Series series(RetentionPolicy{});
+  for (int i = 0; i < 99; ++i) series.add(seconds(i), 1000.0);
+  series.add(seconds(99), 2000.0);
+  const WindowSummary summary = series.query(0, seconds(100));
+  ASSERT_EQ(summary.samples, 100u);
+  EXPECT_EQ(summary.min, 1000.0);
+  EXPECT_EQ(summary.max, 2000.0);
+  EXPECT_GE(summary.p95, summary.min);
+  EXPECT_LE(summary.p95, summary.min + (summary.max - summary.min) / 32.0);
+}
+
+TEST(Series, NearConstantWindowAnswersInsideItsRange) {
+  // Two samples one ulp apart: min + step * i rounds to repeated bin
+  // bounds, which once made the query throw.
+  const double low = 123456.789;
+  const double high = std::nextafter(low, 2 * low);
+  Series series(RetentionPolicy{});
+  series.add(seconds(1), low);
+  series.add(seconds(2), high);
+  WindowSummary summary;
+  ASSERT_NO_THROW(summary = series.query(0, seconds(3)));
+  ASSERT_EQ(summary.samples, 2u);
+  EXPECT_EQ(summary.min, low);
+  EXPECT_EQ(summary.max, high);
+  EXPECT_GE(summary.p95, summary.min);
+  EXPECT_LE(summary.p95, summary.max);
 }
 
 TEST(SeriesKeys, NormalizeAndCompose) {

@@ -15,6 +15,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -22,6 +23,8 @@
 #include <vector>
 
 namespace {
+
+namespace fs = std::filesystem;
 
 #ifndef NETQOS_SOURCE_DIR
 #define NETQOS_SOURCE_DIR ""
@@ -41,10 +44,11 @@ std::string fixture(const std::string& name) {
   return source_dir() + "/tools/netqos_lint/fixtures/" + name;
 }
 
-/// Runs netqos_analyze with `args` appended; captures stdout+stderr.
-RunResult run_analyze(const std::string& args) {
-  const std::string command = std::string(NETQOS_ANALYZE_BIN) + " --root " +
-                              source_dir() + " " + args + " 2>&1";
+/// Runs the engine binary `binary` with `args` appended; captures
+/// stdout+stderr.
+RunResult run_binary(const std::string& binary, const std::string& args) {
+  const std::string command =
+      binary + " --root " + source_dir() + " " + args + " 2>&1";
   RunResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -55,6 +59,25 @@ RunResult run_analyze(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+/// Runs netqos_analyze with `args` appended; captures stdout+stderr.
+RunResult run_analyze(const std::string& args) {
+  return run_binary(NETQOS_ANALYZE_BIN, args);
+}
+
+/// Output without the `netqos-analyze: cache N hit(s), M miss(es)` status
+/// line, which legitimately differs between a cold and a warm run.
+std::string strip_cache_line(const std::string& text) {
+  std::string out;
+  std::stringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("netqos-analyze: cache ") == 0) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
 int count_rule(const std::string& output, const std::string& rule) {
@@ -309,19 +332,57 @@ TEST(NetqosAnalyze, ResultCacheHitsOnSecondRun) {
   // Cached findings must be byte-identical to fresh ones. The cache
   // status line on stderr legitimately differs (miss vs hit counts), so
   // strip it before comparing.
-  const auto strip_cache_line = [](const std::string& text) {
-    std::string out;
-    std::stringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.find("netqos-analyze: cache ") == 0) continue;
-      out += line;
-      out += '\n';
-    }
-    return out;
-  };
   EXPECT_EQ(strip_cache_line(cold.output), strip_cache_line(warm.output));
   std::remove(cache.c_str());
+}
+
+// Cache entries are keyed on the engine's own code: any change to the
+// executable (here one byte appended to a copy of it) must miss every
+// entry instead of replaying verdicts a changed matcher may no longer
+// give, while an unchanged engine still hits them all.
+TEST(NetqosAnalyze, ResultCacheMissesAfterTheEngineBinaryChanges) {
+  const std::string dir = testing::TempDir();
+  const std::string cache = dir + "/netqos_analyze_binary.cache";
+  const std::string kept = cache + ".kept";
+  const std::string patched = dir + "/netqos_analyze_patched";
+  const std::string corpus = source_dir() + "/tools/netqos_lint/fixtures";
+  std::remove(cache.c_str());
+
+  const RunResult cold = run_analyze("--cache " + cache + " " + corpus);
+  EXPECT_EQ(cold.exit_code, 1) << cold.output;
+  const std::string all_misses = "cache 0 hit(s), ";
+  const std::size_t at = cold.output.find(all_misses);
+  ASSERT_NE(at, std::string::npos) << cold.output;
+  const int files = std::atoi(cold.output.c_str() + at + all_misses.size());
+  ASSERT_GT(files, 0) << cold.output;
+  const std::string all_hits =
+      "cache " + std::to_string(files) + " hit(s), 0 miss(es)";
+  fs::copy_file(cache, kept, fs::copy_options::overwrite_existing);
+
+  {
+    std::ifstream engine(NETQOS_ANALYZE_BIN, std::ios::binary);
+    std::ofstream copy(patched, std::ios::binary | std::ios::trunc);
+    copy << engine.rdbuf();
+    copy.put('\0');
+  }
+  fs::permissions(patched, fs::perms::owner_all);
+  const RunResult changed =
+      run_binary(patched, "--cache " + cache + " " + corpus);
+  EXPECT_EQ(changed.exit_code, 1) << changed.output;
+  EXPECT_NE(changed.output.find(all_misses + std::to_string(files) +
+                                " miss(es)"),
+            std::string::npos)
+      << changed.output;
+  EXPECT_EQ(strip_cache_line(changed.output), strip_cache_line(cold.output));
+
+  const RunResult rerun = run_analyze("--cache " + kept + " " + corpus);
+  EXPECT_EQ(rerun.exit_code, 1) << rerun.output;
+  EXPECT_NE(rerun.output.find(all_hits), std::string::npos) << rerun.output;
+  EXPECT_EQ(strip_cache_line(rerun.output), strip_cache_line(cold.output));
+
+  for (const std::string& path : {cache, kept, patched}) {
+    std::remove(path.c_str());
+  }
 }
 
 // The acceptance gate: the shipped tree is clean under all eight rules

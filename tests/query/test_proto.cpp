@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -203,6 +204,32 @@ TEST(QueryProto, EventAndHeaderOnlyRoundTrip) {
   error.header.type = MessageType::kError;
   error.error = "subscriber limit reached";
   EXPECT_EQ(round_trip(error).error, "subscriber limit reached");
+}
+
+TEST(QueryProto, EncodeIntoReusedBufferMatchesFreshEncode) {
+  Message m;
+  m.header.type = MessageType::kWindowResponse;
+  m.header.request_id = 9;
+  m.window_response.server_now = 5 * kSecond;
+  for (int i = 0; i < 3; ++i) {
+    WindowRow row;
+    row.key = "path:S" + std::to_string(i) + "|N1:avail";
+    row.samples = static_cast<std::uint32_t>(10 + i);
+    row.p95 = 1.5 * i;
+    m.window_response.rows.push_back(row);
+  }
+  const Bytes fresh = encode_message(m);
+  // The length prefix counts every byte after itself.
+  ASSERT_GE(fresh.size(), 4u);
+  EXPECT_EQ((std::uint32_t{fresh[0]} << 24) | (std::uint32_t{fresh[1]} << 16) |
+                (std::uint32_t{fresh[2]} << 8) | fresh[3],
+            fresh.size() - 4);
+
+  Bytes stale(1024, 0x5a);
+  const std::uint8_t* storage = stale.data();
+  const Bytes reused = encode_message(m, std::move(stale));
+  EXPECT_EQ(reused, fresh);
+  EXPECT_EQ(reused.data(), storage);  // written into the given capacity
 }
 
 TEST(QueryProto, RejectsMalformedFrames) {

@@ -8,6 +8,7 @@
 #include "experiments/lirtss.h"
 #include "monitor/modules/registry.h"
 #include "monitor/qos.h"
+#include "monitor/stats_db.h"
 #include "query/client.h"
 #include "query/engine.h"
 #include "query/server.h"
@@ -66,6 +67,57 @@ TEST_F(QueryServiceTest, WindowQueryRoundTripsOverTheNetwork) {
   EXPECT_GT(stats.bytes_sent, stats.bytes_received);  // rows outweigh asks
   EXPECT_EQ(client.stats().responses, 1u);
   EXPECT_EQ(client.stats().timeouts, 0u);
+}
+
+TEST_F(QueryServiceTest, WindowOverANearConstantSeriesIsAnswered) {
+  // An interface whose two rates are one ulp apart: 2^53 and 2^53 + 2
+  // octets per second, from Counter64 deltas over 1 s. Binning such a
+  // window once threw from the store, out of the server's packet handler
+  // and out of the simulator.
+  mon::StatsDb db;
+  const mon::InterfaceKey interface{"S2", "eth0"};
+  mon::CounterSample sample;
+  sample.high_capacity = true;
+  db.update(interface, seconds(1), sample);
+  sample.sys_uptime_ticks = 100;
+  sample.in_octets = std::uint64_t{1} << 53;
+  db.update(interface, seconds(2), sample);
+  sample.sys_uptime_ticks = 200;
+  sample.in_octets = (std::uint64_t{1} << 54) + 2;
+  db.update(interface, seconds(3), sample);
+
+  // A monitor that reads the db but never polls, served on L in place of
+  // the fixture's server.
+  mon::NetworkMonitor monitor(bed_.simulator(), bed_.topology(),
+                              bed_.host("L"), db, mon::MonitorConfig{});
+  QueryEngine engine(monitor);
+  server_.reset();
+  QueryServer server(bed_.simulator(), bed_.host("L"), engine);
+  QueryClient client(bed_.simulator(), bed_.host("S3"),
+                     bed_.host("L").ip());
+
+  std::vector<QueryResult> results;
+  bed_.simulator().schedule_at(seconds(4), [&] {
+    WindowRequest request;
+    request.group = GroupBy::kInterface;
+    request.begin = 0;
+    client.window(request, [&](QueryResult r) { results.push_back(r); });
+  });
+  ASSERT_NO_THROW(bed_.run_until(seconds(6)));
+
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_EQ(results[0].message.header.type, MessageType::kWindowResponse);
+  const WindowResponse& response = results[0].message.window_response;
+  ASSERT_EQ(response.rows.size(), 1u);
+  const WindowRow& row = response.rows[0];
+  EXPECT_EQ(row.key, "if:S2/eth0");
+  EXPECT_EQ(row.samples, 2u);
+  EXPECT_EQ(row.min, 9007199254740992.0);
+  EXPECT_EQ(row.max, 9007199254740994.0);
+  EXPECT_GE(row.p95, row.min);
+  EXPECT_LE(row.p95, row.max);
+  EXPECT_EQ(server.stats().bad_requests, 0u);
 }
 
 TEST_F(QueryServiceTest, HealthQueryReportsAgentsAndServerCounts) {

@@ -47,11 +47,13 @@ TEST(SoakHistory, FootprintStaysFlatWhileRingsWrapForHalfAnHour) {
 
   // Occupancy is pinned at the capacity bound per series.
   const std::size_t per_series_cap = 64 + 64 + 32;
-  for (const std::string& key : bed.monitor().history().keys()) {
-    const hist::Series* series = bed.monitor().history().find(key);
-    ASSERT_NE(series, nullptr);
-    EXPECT_LE(series->bucket_count(), per_series_cap);
-  }
+  std::size_t visited = 0;
+  bed.monitor().history().visit_prefix(
+      "", [&](const std::string& key, const hist::Series& series) {
+        ++visited;
+        EXPECT_LE(series.bucket_count(), per_series_cap) << key;
+      });
+  EXPECT_EQ(visited, path_series);
 
   // Raw retention is ~128 s, yet a 12-minute window still answers —
   // from the 32 s tier, whose 32 slots reach ~1024 s back — with

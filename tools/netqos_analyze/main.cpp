@@ -1,8 +1,10 @@
 // Command-line entry point: findings as `path:line: [RULE] message` on
 // stdout, exit 0 (clean), 1 (new findings) or 2 (usage error), a
 // content-hash baseline gate, SARIF output (--sarif) and a per-file
-// result cache (--cache) for warm incremental runs.
+// result cache (--cache) for warm incremental runs, keyed on the rules'
+// code as well as the files.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -113,6 +115,23 @@ std::vector<fs::path> collect_files(const Options& opts, int& exit_code) {
   return {files.begin(), files.end()};
 }
 
+constexpr const char* kSelfExe = "/proc/self/exe";
+
+/// Folds the running executable's bytes into `seed` (FNV-1a). False when
+/// the executable cannot be read.
+bool hash_executable(std::uint64_t seed, std::uint64_t& out) {
+  std::ifstream in(kSelfExe, std::ios::binary);
+  if (!in) return false;
+  std::array<char, 1 << 16> chunk;
+  while (in.read(chunk.data(), chunk.size()) || in.gcount() > 0) {
+    seed = fnv1a(std::string_view(chunk.data(),
+                                  static_cast<std::size_t>(in.gcount())),
+                 seed);
+  }
+  out = seed;
+  return true;
+}
+
 std::string relative_to_root(const fs::path& file, const fs::path& root) {
   std::error_code ec;
   const fs::path rel =
@@ -154,11 +173,19 @@ int main(int argc, char** argv) {
   }
   registry.finalize();
 
-  // Rule-set hash: cache entries die when the catalog text changes.
+  // Rule-set hash: cache entries die when the catalog text changes, and
+  // with the engine binary itself, so a changed matcher never replays
+  // the verdicts of the code it replaced.
   std::uint64_t rules_hash = fnv1a("netqos-analyze rules v1");
   for (const auto& [rule, description] : rule_catalog()) {
     rules_hash = fnv1a(rule, rules_hash);
     rules_hash = fnv1a(description, rules_hash);
+  }
+  if (!opts.cache_path.empty() &&
+      !hash_executable(rules_hash, rules_hash)) {
+    std::cerr << "netqos-analyze: warning: cannot read " << kSelfExe
+              << "; --cache ignored\n";
+    opts.cache_path.clear();
   }
 
   ResultCache cache;
