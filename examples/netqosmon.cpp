@@ -5,7 +5,7 @@
 //             [--backoff-base X] [--backoff-cap MS] [--stagger MS]
 //             [--load SRC DST KBPS START END]...
 //             [--metrics-out FILE] [--trace-out FILE]
-//             [--metrics-jsonl FILE] [--trace-jsonl FILE]
+//             [--metrics-jsonl FILE]
 //             [--history-retention SECS] [--forecast-horizon SECS]
 //             [--serve] [--modules LIST] [--probe LIST]
 //
@@ -63,10 +63,9 @@ struct Options {
   double stagger_ms = 0;      // per-agent launch phase within a round
   std::string metrics_out;  // Prometheus text exposition, empty = off
   std::string trace_out;    // Chrome trace-event JSONL, empty = off
-  // JSONL snapshots written by the stop-flush sinks (flushed by
-  // monitor.stop(), not by explicit calls after the run).
+  // JSONL metrics snapshot written by the stop-flush sink (flushed by
+  // monitor.stop(), not by an explicit call after the run).
   std::string metrics_jsonl;
-  std::string trace_jsonl;
   double history_retention_s = 0;  // raw-span for the history store, 0 = default
   double forecast_horizon_s = 0;   // predictive warnings, 0 = off
   bool serve = false;  // bind the query service on the station
@@ -86,7 +85,7 @@ struct Options {
                "[--poll MS] [--backoff-base X] [--backoff-cap MS] "
                "[--stagger MS] [--load SRC DST KBPS START END]... "
                "[--metrics-out FILE] [--trace-out FILE] "
-               "[--metrics-jsonl FILE] [--trace-jsonl FILE] "
+               "[--metrics-jsonl FILE] "
                "[--history-retention SECS] [--forecast-horizon SECS] "
                "[--serve] [--modules LIST] [--probe LIST]\n",
                argv0);
@@ -129,8 +128,6 @@ Options parse_args(int argc, char** argv) {
       options.trace_out = next("--trace-out");
     } else if (arg == "--metrics-jsonl") {
       options.metrics_jsonl = next("--metrics-jsonl");
-    } else if (arg == "--trace-jsonl") {
-      options.trace_jsonl = next("--trace-jsonl");
     } else if (arg == "--history-retention") {
       options.history_retention_s =
           std::atof(next("--history-retention").c_str());
@@ -223,9 +220,7 @@ int main(int argc, char** argv) {
       from_seconds(options.backoff_cap_ms / 1000.0);
   config.scheduler.stagger = from_seconds(options.stagger_ms / 1000.0);
   config.metrics = &registry;
-  if (!options.trace_out.empty() || !options.trace_jsonl.empty()) {
-    config.spans = &spans;
-  }
+  if (!options.trace_out.empty()) config.spans = &spans;
   if (options.history_retention_s > 0) {
     config.retention = hist::RetentionPolicy::for_span(
         from_seconds(options.history_retention_s), config.poll_interval);
@@ -470,11 +465,10 @@ int main(int argc, char** argv) {
 
   mon::CsvSink sink(monitor, std::cout);
 
-  // JSONL sinks flush through monitor.stop() — no explicit render below.
+  // The JSONL sink flushes through monitor.stop() — no explicit render
+  // below.
   std::ofstream metrics_jsonl_out;
-  std::ofstream trace_jsonl_out;
   std::unique_ptr<mon::MetricsJsonlSink> metrics_jsonl_sink;
-  std::unique_ptr<mon::TraceJsonlSink> trace_jsonl_sink;
   if (!options.metrics_jsonl.empty()) {
     metrics_jsonl_out.open(options.metrics_jsonl);
     if (!metrics_jsonl_out) {
@@ -484,16 +478,6 @@ int main(int argc, char** argv) {
     }
     metrics_jsonl_sink = std::make_unique<mon::MetricsJsonlSink>(
         monitor, registry, metrics_jsonl_out);
-  }
-  if (!options.trace_jsonl.empty()) {
-    trace_jsonl_out.open(options.trace_jsonl);
-    if (!trace_jsonl_out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   options.trace_jsonl.c_str());
-      return 1;
-    }
-    trace_jsonl_sink = std::make_unique<mon::TraceJsonlSink>(
-        monitor, spans, trace_jsonl_out);
   }
 
   monitor.start();
@@ -526,10 +510,6 @@ int main(int argc, char** argv) {
   if (metrics_jsonl_sink) {
     std::printf("# wrote metrics JSONL to %s (flushed on stop)\n",
                 options.metrics_jsonl.c_str());
-  }
-  if (trace_jsonl_sink) {
-    std::printf("# wrote trace JSONL to %s (flushed on stop)\n",
-                options.trace_jsonl.c_str());
   }
 
   // Per-agent health summary: anything other than a clean healthy state

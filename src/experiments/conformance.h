@@ -32,8 +32,7 @@ std::vector<std::string> conformance_scenarios();
 /// `enable_observer_modules` additionally registers every shipped
 /// observer module (EWMA anomaly, top talkers) before the run; observers
 /// must not perturb the paper pipeline, so the transcript is required to
-/// be identical either way. The flag is ignored (treated as false) while
-/// the pipeline predates the module framework.
+/// be identical either way.
 std::string run_conformance_scenario(const std::string& name,
                                      bool enable_observer_modules = false);
 

@@ -1,6 +1,7 @@
 #include "monitor/monitor.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <stdexcept>
 
@@ -33,40 +34,98 @@ snmp::ClientConfig client_config_with_metrics(snmp::ClientConfig client,
   return client;
 }
 
+/// One interface reading's cells, one per counter_columns() entry.
+constexpr std::size_t kCounterCells = 6;
+using CounterCells = std::array<const snmp::SnmpValue*, kCounterCells>;
+
+/// The counter columns of one interface reading, in CounterSample order;
+/// the octet columns are the ifXTable's Counter64 ones when
+/// `high_capacity` is set.
+std::vector<snmp::Oid> counter_columns(bool high_capacity) {
+  using namespace snmp::mib2;
+  return {high_capacity ? kIfXEntry.child(kIfHCInOctetsColumn)
+                        : kIfEntry.child(kIfInOctetsColumn),
+          high_capacity ? kIfXEntry.child(kIfHCOutOctetsColumn)
+                        : kIfEntry.child(kIfOutOctetsColumn),
+          kIfEntry.child(kIfInUcastPktsColumn),
+          kIfEntry.child(kIfOutUcastPktsColumn),
+          kIfEntry.child(kIfInDiscardsColumn),
+          kIfEntry.child(kIfOutDiscardsColumn)};
+}
+
+/// Stores `cell` in `field` when it holds a `Counter`.
+template <typename Counter, typename Field>
+bool read_counter(const snmp::SnmpValue& cell, Field& field) {
+  const auto* counter = std::get_if<Counter>(&cell);
+  if (counter == nullptr) return false;
+  field = counter->value;
+  return true;
+}
+
+/// sysUpTime plus one interface's cells (counter_columns order) as a
+/// sample; nullopt when a cell has the wrong type.
+std::optional<CounterSample> decode_sample(std::uint32_t uptime,
+                                           bool high_capacity,
+                                           const CounterCells& cells) {
+  CounterSample sample;
+  sample.sys_uptime_ticks = uptime;
+  sample.high_capacity = high_capacity;
+  const bool octets =
+      high_capacity
+          ? read_counter<snmp::Counter64>(*cells[0], sample.in_octets) &&
+                read_counter<snmp::Counter64>(*cells[1], sample.out_octets)
+          : read_counter<snmp::Counter32>(*cells[0], sample.in_octets) &&
+                read_counter<snmp::Counter32>(*cells[1], sample.out_octets);
+  if (!octets ||
+      !read_counter<snmp::Counter32>(*cells[2], sample.in_packets) ||
+      !read_counter<snmp::Counter32>(*cells[3], sample.out_packets) ||
+      !read_counter<snmp::Counter32>(*cells[4], sample.in_discards) ||
+      !read_counter<snmp::Counter32>(*cells[5], sample.out_discards)) {
+    return std::nullopt;
+  }
+  return sample;
+}
+
+/// Target `i`'s cells in a GET answer: sysUpTime.0, then the cells of
+/// each target in request order.
+CounterCells get_cells(const snmp::SnmpResult& result, std::size_t i) {
+  CounterCells cells{};
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    cells[c] = &result.varbinds[1 + kCounterCells * i + c].value;
+  }
+  return cells;
+}
+
+/// Row `if_index`'s cells in a table sweep; nullopt when the row is
+/// missing or incomplete.
+std::optional<CounterCells> row_cells(const snmp::TableResult& table,
+                                      std::uint32_t if_index) {
+  if (if_index == 0 || if_index > table.rows.size() ||
+      !table.complete_row(if_index - 1, kCounterCells)) {
+    return std::nullopt;
+  }
+  const auto& row = table.rows[if_index - 1].cells;
+  CounterCells cells{};
+  for (std::size_t c = 0; c < cells.size(); ++c) cells[c] = &row[c];
+  return cells;
+}
+
 }  // namespace
 
 NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
                                const topo::NetworkTopology& topo,
                                sim::Host& station, MonitorConfig config)
-    : sim_(sim),
-      topo_(topo),
-      config_(std::move(config)),
-      plan_(PollPlan::build(topo)),
-      own_metrics_(config_.metrics != nullptr
-                       ? nullptr
-                       : std::make_unique<obs::MetricsRegistry>()),
-      metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : own_metrics_.get()),
-      station_label_(station.name()),
-      client_(sim, station.udp(),
-              client_config_with_metrics(config_.client, metrics_)),
-      walker_(client_),
-      calculator_(topo, plan_),
-      own_db_(config_.retention),
-      db_(&own_db_),
-      history_(config_.retention),
-      modules_(*this, *metrics_, station_label_) {
-  init_metrics(station_label_);
-  own_db_.attach_metrics(*metrics_);
-  history_.attach_metrics(*metrics_, "paths");
-  select_agents();
-  init_scheduler();
-  modules_.add(std::make_unique<BandwidthModule>());
-}
+    : NetworkMonitor(sim, topo, station, nullptr, std::move(config)) {}
 
 NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
                                const topo::NetworkTopology& topo,
                                sim::Host& station, StatsDb& shared_db,
+                               MonitorConfig config)
+    : NetworkMonitor(sim, topo, station, &shared_db, std::move(config)) {}
+
+NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
+                               const topo::NetworkTopology& topo,
+                               sim::Host& station, StatsDb* shared_db,
                                MonitorConfig config)
     : sim_(sim),
       topo_(topo),
@@ -78,17 +137,19 @@ NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : own_metrics_.get()),
       station_label_(station.name()),
+      counter_columns_(counter_columns(config_.use_hc_counters)),
       client_(sim, station.udp(),
               client_config_with_metrics(config_.client, metrics_)),
       walker_(client_),
       calculator_(topo, plan_),
       own_db_(config_.retention),
-      db_(&shared_db),
+      db_(shared_db != nullptr ? shared_db : &own_db_),
       history_(config_.retention),
       modules_(*this, *metrics_, station_label_) {
-  // The shared db is not attached here: its owner (e.g. the distributed
-  // coordinator) decides which registry exports it.
   init_metrics(station_label_);
+  // A shared db is not attached here: its owner (e.g. the distributed
+  // coordinator) decides which registry exports it.
+  if (shared_db == nullptr) own_db_.attach_metrics(*metrics_);
   history_.attach_metrics(*metrics_, "paths");
   select_agents();
   init_scheduler();
@@ -151,40 +212,20 @@ void NetworkMonitor::init_metrics(const std::string& station) {
       labels);
 }
 
-obs::HistogramMetric& NetworkMonitor::rtt_histogram(const std::string& node) {
-  auto it = rtt_histograms_.find(node);
-  if (it == rtt_histograms_.end()) {
-    obs::HistogramMetric& h = metrics_->histogram(
-        "netqos_snmp_rtt_seconds",
-        "SNMP request round-trip time per polled agent", kRttBounds,
-        {{"agent", node}, {"station", station_label_}});
-    it = rtt_histograms_.emplace(node, &h).first;
-  }
-  return *it->second;
-}
-
-obs::Gauge& NetworkMonitor::health_gauge(const std::string& node) {
-  auto it = health_gauges_.find(node);
-  if (it == health_gauges_.end()) {
-    obs::Gauge& g = metrics_->gauge(
+void NetworkMonitor::reset_agent_gauges(Agent& agent) {
+  if (agent.health == nullptr) {
+    const obs::Labels labels = {{"agent", agent.task->node},
+                                {"station", station_label_}};
+    agent.health = &metrics_->gauge(
         "netqos_agent_health",
-        "Agent health state (0 healthy, 1 degraded, 2 quarantined)",
-        {{"agent", node}, {"station", station_label_}});
-    it = health_gauges_.emplace(node, &g).first;
-  }
-  return *it->second;
-}
-
-obs::Gauge& NetworkMonitor::backoff_gauge(const std::string& node) {
-  auto it = backoff_gauges_.find(node);
-  if (it == backoff_gauges_.end()) {
-    obs::Gauge& g = metrics_->gauge(
+        "Agent health state (0 healthy, 1 degraded, 2 quarantined)", labels);
+    agent.backoff = &metrics_->gauge(
         "netqos_agent_backoff_level",
         "Consecutive poll failures driving the agent's backoff exponent",
-        {{"agent", node}, {"station", station_label_}});
-    it = backoff_gauges_.emplace(node, &g).first;
+        labels);
   }
-  return *it->second;
+  agent.health->set(0.0);
+  agent.backoff->set(0.0);
 }
 
 MonitorStats NetworkMonitor::stats() const {
@@ -209,9 +250,9 @@ void NetworkMonitor::set_failure_detector(FailureDetector* detector) {
   }
 }
 
-const AgentTask* NetworkMonitor::task_for(const std::string& node) const {
-  auto it = task_index_.find(node);
-  return it != task_index_.end() ? it->second : nullptr;
+NetworkMonitor::Agent* NetworkMonitor::polled_agent(const std::string& node) {
+  auto it = agents_.find(node);
+  return it != agents_.end() && it->second.polled ? &it->second : nullptr;
 }
 
 void NetworkMonitor::on_link_event(const LinkEvent& event) {
@@ -230,17 +271,17 @@ void NetworkMonitor::on_link_event(const LinkEvent& event) {
     if (!probed.insert(node).second) continue;
     const auto* state = scheduler_->find(node);
     if (state == nullptr || state->health == AgentHealth::kHealthy) continue;
-    const AgentTask* task = task_for(node);
-    if (task == nullptr) continue;
+    Agent* agent = polled_agent(node);
+    if (agent == nullptr) continue;
     scheduler_->request_reprobe(node, sim_.now());
     scheduler_->record_launch(node, sim_.now());
-    poll_agent(*task, nullptr);
+    poll_agent(*agent, nullptr);
   }
 }
 
 void NetworkMonitor::on_health_transition(const std::string& node,
                                           AgentHealth from, AgentHealth to) {
-  health_gauge(node).set(static_cast<double>(to));
+  agents_.at(node).health->set(static_cast<double>(to));
   NETQOS_INFO_C("monitor") << station_label_ << ": agent " << node << " "
                            << agent_health_name(from) << " -> "
                            << agent_health_name(to);
@@ -249,18 +290,18 @@ void NetworkMonitor::on_health_transition(const std::string& node,
   if (!entered && !left) return;
   if (entered) quarantine_transitions_->inc();
   plan_.set_agent_quarantined(node, entered);
-  recompute_extra_interfaces();
+  recompute_fallbacks();
   for (const auto& callback : quarantine_callbacks_) callback(node, entered);
 }
 
 void NetworkMonitor::apply_external_quarantine(const std::string& node,
                                                bool quarantined) {
   plan_.set_agent_quarantined(node, quarantined);
-  recompute_extra_interfaces();
+  recompute_fallbacks();
 }
 
-void NetworkMonitor::recompute_extra_interfaces() {
-  extra_interfaces_.clear();
+void NetworkMonitor::recompute_fallbacks() {
+  for (auto& [node, agent] : agents_) agent.fallbacks.clear();
   for (std::size_t ci = 0; ci < topo_.connections().size(); ++ci) {
     const auto& point = plan_.measurement_for(ci);
     const auto& primary = plan_.primary_measurement_for(ci);
@@ -271,81 +312,61 @@ void NetworkMonitor::recompute_extra_interfaces() {
         primary->interface == point->interface) {
       continue;
     }
-    const AgentTask* task = task_for(point->node);
-    if (task == nullptr) continue;  // some other station polls this agent
-    if (std::find(task->interfaces.begin(), task->interfaces.end(),
-                  point->interface) != task->interfaces.end()) {
-      continue;
-    }
-    auto& extras = extra_interfaces_[point->node];
-    if (std::find(extras.begin(), extras.end(), point->interface) ==
-        extras.end()) {
-      extras.push_back(point->interface);
+    Agent* agent = polled_agent(point->node);
+    if (agent == nullptr) continue;  // some other station polls this agent
+    const auto& interfaces = agent->task->interfaces;
+    auto& fallbacks = agent->fallbacks;
+    if (std::find(interfaces.begin(), interfaces.end(), point->interface) ==
+            interfaces.end() &&
+        std::find(fallbacks.begin(), fallbacks.end(), point->interface) ==
+            fallbacks.end()) {
+      fallbacks.push_back(point->interface);
     }
   }
 }
 
 void NetworkMonitor::select_agents() {
+  const auto& allowlist = config_.agent_allowlist;
   for (const AgentTask& task : plan_.agents()) {
-    if (config_.agent_allowlist.empty()) {
-      polled_agents_.push_back(&task);
-      continue;
-    }
-    for (const auto& allowed : config_.agent_allowlist) {
-      if (task.node == allowed) {
-        polled_agents_.push_back(&task);
-        break;
-      }
-    }
-  }
-  for (const AgentTask* task : polled_agents_) {
-    task_index_.emplace(task->node, task);
+    Agent& agent = agents_[task.node];
+    agent.task = &task;
+    agent.polled = allowlist.empty() ||
+                   std::find(allowlist.begin(), allowlist.end(),
+                             task.node) != allowlist.end();
+    if (agent.polled) polled_agents_.push_back(&task);
   }
 }
 
 bool NetworkMonitor::adopt_agent(const std::string& node) {
-  if (task_index_.count(node) != 0) return false;
-  const AgentTask* adopted = nullptr;
-  for (const AgentTask& task : plan_.agents()) {
-    if (task.node == node) {
-      adopted = &task;
-      break;
-    }
-  }
-  if (adopted == nullptr) return false;
-  polled_agents_.push_back(adopted);
-  task_index_.emplace(node, adopted);
+  auto it = agents_.find(node);
+  if (it == agents_.end() || it->second.polled) return false;
+  Agent& agent = it->second;
+  agent.polled = true;
+  polled_agents_.push_back(agent.task);
   scheduler_->add_agent(node);
-  health_gauge(node).set(0.0);
-  backoff_gauge(node).set(0.0);
-  recompute_extra_interfaces();
+  reset_agent_gauges(agent);
+  recompute_fallbacks();
   // A first-time adoption still needs its ifIndexes; a re-adoption (or a
   // pre-start adoption, resolved with everyone else) polls immediately.
-  if (running_ && !has_resolved_indexes(node)) {
-    resolve_queue_.push_back(adopted);
+  if (running_ && agent.if_indexes.empty()) {
+    resolve_queue_.push_back(&agent);
     pump_resolve_queue();
   }
   return true;
 }
 
 bool NetworkMonitor::release_agent(const std::string& node) {
-  auto it = task_index_.find(node);
-  if (it == task_index_.end()) return false;
-  polled_agents_.erase(
-      std::find(polled_agents_.begin(), polled_agents_.end(), it->second));
-  std::erase(resolve_queue_, it->second);
-  task_index_.erase(it);
-  // Keep if_indexes_ (and any table poller): re-adoption then resumes
-  // without a new resolution walk. An in-flight poll's callback finds no
-  // scheduler entry and drops its result on the floor.
+  Agent* agent = polled_agent(node);
+  if (agent == nullptr) return false;
+  agent->polled = false;
+  std::erase(polled_agents_, agent->task);
+  std::erase(resolve_queue_, agent);
+  // The record keeps its ifIndexes and table poller: re-adoption then
+  // resumes without a new resolution walk. An in-flight poll's callback
+  // finds no scheduler entry and leaves the agent's health alone.
   scheduler_->remove_agent(node);
-  recompute_extra_interfaces();
+  recompute_fallbacks();
   return true;
-}
-
-bool NetworkMonitor::has_resolved_indexes(const std::string& node) const {
-  auto it = if_indexes_.lower_bound({node, std::string()});
-  return it != if_indexes_.end() && it->first.first == node;
 }
 
 void NetworkMonitor::add_path(const std::string& from,
@@ -377,12 +398,13 @@ void NetworkMonitor::start() {
   // Batch mode also pre-sizes resolution walks from the agent's reported
   // ifNumber; both wire-traffic changes ride the one opt-in flag.
   walker_.set_prefetch_if_number(config_.batch_table_polls);
+  resolve_queue_.clear();
   for (const AgentTask* task : polled_agents_) {
-    health_gauge(task->node).set(0.0);
-    backoff_gauge(task->node).set(0.0);
+    Agent& agent = agents_.at(task->node);
+    reset_agent_gauges(agent);
+    resolve_queue_.push_back(&agent);
   }
   rounds_scheduled_ = false;
-  resolve_queue_.assign(polled_agents_.begin(), polled_agents_.end());
   pump_resolve_queue();
 }
 
@@ -410,25 +432,26 @@ void NetworkMonitor::pump_resolve_queue() {
     }
     return;
   }
-  const AgentTask& task = *resolve_queue_.front();
+  Agent& agent = *resolve_queue_.front();
   resolve_queue_.pop_front();
   resolving_ = true;
   const snmp::Oid descr_column =
       snmp::mib2::kIfEntry.child(snmp::mib2::kIfDescrColumn);
   walker_.walk(
-      task.address, task.community, descr_column,
-      [this, &task](snmp::WalkResult result) {
+      agent.task->address, agent.task->community, descr_column,
+      [this, &agent](snmp::WalkResult result) {
         resolving_ = false;
         if (!result.ok) {
           resolve_failures_->inc();
-          NETQOS_WARN_C("monitor") << "ifTable walk failed on " << task.node
-                                   << ": " << result.error;
+          NETQOS_WARN_C("monitor") << "ifTable walk failed on "
+                                   << agent.task->node << ": "
+                                   << result.error;
         } else {
           for (const auto& vb : result.varbinds) {
             // Instance OID is ifDescr.<ifIndex>.
             const std::uint32_t if_index = vb.oid[vb.oid.size() - 1];
             if (const auto* name = std::get_if<std::string>(&vb.value)) {
-              if_indexes_[{task.node, *name}] = if_index;
+              agent.if_indexes[*name] = if_index;
             }
           }
         }
@@ -458,13 +481,12 @@ void NetworkMonitor::run_round() {
   if (config_.spans != nullptr) {
     round->span = config_.spans->begin("poll_round", "monitor", sim_.now(),
                                        {{"station", station_label_}});
-    round->has_span = true;
   }
 
   for (const PollScheduler::AgentState* state : due) {
-    const AgentTask* task = task_for(state->node);
-    if (task == nullptr) {
-      if (--round->outstanding == 0) finish_round(round);
+    Agent* agent = polled_agent(state->node);
+    if (agent == nullptr) {
+      count_out(round);
       continue;
     }
     scheduler_->record_launch(state->node, round->started);
@@ -472,13 +494,13 @@ void NetworkMonitor::run_round() {
     // inline so the default event order matches the lock-step monitor.
     const SimDuration delay = state->phase + scheduler_->draw_jitter();
     if (delay <= 0) {
-      poll_agent(*task, round);
+      poll_agent(*agent, round);
     } else {
-      sim_.schedule_after(delay, [this, task, round] {
+      sim_.schedule_after(delay, [this, agent, round] {
         if (running_) {
-          poll_agent(*task, round);
-        } else if (--round->outstanding == 0) {
-          finish_round(round);
+          poll_agent(*agent, round);
+        } else {
+          count_out(round);
         }
       });
     }
@@ -488,290 +510,134 @@ void NetworkMonitor::run_round() {
   schedule_round(round->started + config_.poll_interval);
 }
 
-void NetworkMonitor::poll_agent(const AgentTask& task,
+void NetworkMonitor::poll_agent(Agent& agent,
                                 const std::shared_ptr<Round>& round) {
-  using snmp::mib2::if_column;
-
-  if (config_.batch_table_polls) {
-    // The poller serves one sweep at a time; an out-of-round re-probe
-    // overlapping a round's sweep falls through to the GET path instead
-    // of being dropped.
-    if (!table_poller_for(task).busy()) {
-      poll_agent_batched(task, round);
-      return;
-    }
+  const AgentTask& task = *agent.task;
+  if (config_.batch_table_polls && agent.table_poller == nullptr) {
+    agent.table_poller = std::make_unique<snmp::TablePoller>(
+        client_, task.address, task.community, counter_columns_);
   }
 
   // Static plan interfaces plus any §4.1 fallback ports this agent
-  // covers while a host agent is quarantined.
-  std::vector<std::string> wanted = task.interfaces;
-  if (auto it = extra_interfaces_.find(task.node);
-      it != extra_interfaces_.end()) {
-    wanted.insert(wanted.end(), it->second.begin(), it->second.end());
+  // covers while a host agent is quarantined, each with its ifIndex.
+  Poll poll;
+  poll.targets.reserve(task.interfaces.size() + agent.fallbacks.size());
+  auto add_targets = [&](const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+      if (auto it = agent.if_indexes.find(name);
+          it != agent.if_indexes.end()) {
+        poll.targets.push_back({name, it->second});
+      }
+    }
+  };
+  add_targets(task.interfaces);
+  add_targets(agent.fallbacks);
+  if (poll.targets.empty()) {
+    count_out(round);
+    return;
+  }
+  poll.round = round;
+  // Re-probes (null round) stamp samples with their own launch time.
+  poll.sample_time = round != nullptr ? round->started : sim_.now();
+
+  agent_polls_->inc();
+  if (config_.spans != nullptr) {
+    poll.span = config_.spans->begin("poll_agent", "monitor", sim_.now(),
+                                     {{"agent", task.node}});
   }
 
-  // Interfaces with resolved indices, in request order.
-  std::vector<std::string> interfaces;
-  std::vector<snmp::Oid> oids;
-  oids.push_back(snmp::mib2::kSysUpTime.child(0));
-  for (const auto& if_name : wanted) {
-    auto it = if_indexes_.find({task.node, if_name});
-    if (it == if_indexes_.end()) continue;
-    const std::uint32_t index = it->second;
-    interfaces.push_back(if_name);
-    if (config_.use_hc_counters) {
-      oids.push_back(
-          snmp::mib2::ifx_column(snmp::mib2::kIfHCInOctetsColumn, index));
-      oids.push_back(
-          snmp::mib2::ifx_column(snmp::mib2::kIfHCOutOctetsColumn, index));
-    } else {
-      oids.push_back(if_column(snmp::mib2::kIfInOctetsColumn, index));
-      oids.push_back(if_column(snmp::mib2::kIfOutOctetsColumn, index));
-    }
-    oids.push_back(if_column(snmp::mib2::kIfInUcastPktsColumn, index));
-    oids.push_back(if_column(snmp::mib2::kIfOutUcastPktsColumn, index));
-    oids.push_back(if_column(snmp::mib2::kIfInDiscardsColumn, index));
-    oids.push_back(if_column(snmp::mib2::kIfOutDiscardsColumn, index));
-  }
-  if (interfaces.empty()) {
-    if (round != nullptr && --round->outstanding == 0) finish_round(round);
+  // The table poller serves one sweep at a time; an out-of-round re-probe
+  // overlapping a round's sweep is sent as a GET instead of being dropped.
+  if (config_.batch_table_polls && !agent.table_poller->busy()) {
+    agent.table_poller->collect(
+        [this, &agent, poll = std::move(poll)](snmp::TableResult table) {
+          std::optional<std::uint32_t> uptime;
+          if (table.ok) {
+            uptime = static_cast<std::uint32_t>(table.uptime_ticks);
+          }
+          settle_poll(agent, poll, uptime, [&](std::size_t i) {
+            return row_cells(table, poll.targets[i].if_index);
+          });
+        });
     return;
   }
 
-  // Re-probes (null round) stamp samples with their own launch time.
-  const SimTime sample_time = round != nullptr ? round->started : sim_.now();
-
-  agent_polls_->inc();
-  obs::SpanRecorder::SpanId poll_span = 0;
-  const bool has_poll_span = config_.spans != nullptr;
-  if (has_poll_span) {
-    poll_span = config_.spans->begin("poll_agent", "monitor", sim_.now(),
-                                     {{"agent", task.node}});
+  std::vector<snmp::Oid> oids;
+  oids.reserve(1 + kCounterCells * poll.targets.size());
+  oids.push_back(snmp::mib2::kSysUpTime.child(0));
+  for (const Target& target : poll.targets) {
+    for (const snmp::Oid& column : counter_columns_) {
+      oids.push_back(column.child(target.if_index));
+    }
   }
   client_.get(
       task.address, task.community, std::move(oids),
-      [this, node = task.node, interfaces = std::move(interfaces), round,
-       sample_time, poll_span, has_poll_span](snmp::SnmpResult result) {
-        if (has_poll_span) config_.spans->end(poll_span, sim_.now());
+      [this, &agent, poll = std::move(poll)](snmp::SnmpResult result) {
+        std::optional<std::uint32_t> uptime;
         if (result.ok()) {
-          rtt_histogram(node).observe(to_seconds(result.rtt));
-        }
-        const bool usable =
-            result.ok() && result.varbinds.size() == 1 + 6 * interfaces.size();
-        bool poll_ok = usable;
-        if (!usable) {
-          agent_poll_failures_->inc();
-          if (round != nullptr) round->failed_any = true;
-        } else {
-          bool parse_ok = true;
-          std::uint32_t uptime = 0;
-          if (const auto* ticks =
-                  std::get_if<snmp::TimeTicks>(&result.varbinds[0].value)) {
-            uptime = ticks->value;
-          } else {
-            parse_ok = false;
+          if (agent.rtt == nullptr) {
+            agent.rtt = &metrics_->histogram(
+                "netqos_snmp_rtt_seconds",
+                "SNMP request round-trip time per polled agent", kRttBounds,
+                {{"agent", agent.task->node}, {"station", station_label_}});
           }
-          for (std::size_t i = 0; parse_ok && i < interfaces.size(); ++i) {
-            const std::size_t base = 1 + 6 * i;
-            CounterSample sample;
-            sample.sys_uptime_ticks = uptime;
-            sample.high_capacity = config_.use_hc_counters;
-            if (config_.use_hc_counters) {
-              const auto* in_oct = std::get_if<snmp::Counter64>(
-                  &result.varbinds[base].value);
-              const auto* out_oct = std::get_if<snmp::Counter64>(
-                  &result.varbinds[base + 1].value);
-              if (in_oct == nullptr || out_oct == nullptr) {
-                parse_ok = false;
-                break;
-              }
-              sample.in_octets = in_oct->value;
-              sample.out_octets = out_oct->value;
-            } else {
-              const auto* in_oct = std::get_if<snmp::Counter32>(
-                  &result.varbinds[base].value);
-              const auto* out_oct = std::get_if<snmp::Counter32>(
-                  &result.varbinds[base + 1].value);
-              if (in_oct == nullptr || out_oct == nullptr) {
-                parse_ok = false;
-                break;
-              }
-              sample.in_octets = in_oct->value;
-              sample.out_octets = out_oct->value;
-            }
-            const auto* in_pkt = std::get_if<snmp::Counter32>(
-                &result.varbinds[base + 2].value);
-            const auto* out_pkt = std::get_if<snmp::Counter32>(
-                &result.varbinds[base + 3].value);
-            const auto* in_disc = std::get_if<snmp::Counter32>(
-                &result.varbinds[base + 4].value);
-            const auto* out_disc = std::get_if<snmp::Counter32>(
-                &result.varbinds[base + 5].value);
-            if (in_pkt == nullptr || out_pkt == nullptr ||
-                in_disc == nullptr || out_disc == nullptr) {
-              parse_ok = false;
-              break;
-            }
-            sample.in_packets = in_pkt->value;
-            sample.out_packets = out_pkt->value;
-            sample.in_discards = in_disc->value;
-            sample.out_discards = out_disc->value;
-            const InterfaceKey key{node, interfaces[i]};
-            if (const auto rate = db_->update(key, sample_time, sample);
-                rate.has_value() && modules_.has_interface_consumers()) {
-              modules_.dispatch_interface_sample(key, sample_time, *rate);
-            }
-          }
-          if (!parse_ok) {
-            agent_poll_failures_->inc();
-            poll_ok = false;
-            if (round != nullptr) round->failed_any = true;
-          }
+          agent.rtt->observe(to_seconds(result.rtt));
+          const auto* ticks =
+              result.varbinds.size() ==
+                      1 + kCounterCells * poll.targets.size()
+                  ? std::get_if<snmp::TimeTicks>(&result.varbinds[0].value)
+                  : nullptr;
+          if (ticks != nullptr) uptime = ticks->value;
         }
-        scheduler_->record_result(node, poll_ok, sim_.now());
-        if (const auto* state = scheduler_->find(node)) {
-          backoff_gauge(node).set(
-              static_cast<double>(state->consecutive_failures));
-        }
-        if (round != nullptr && --round->outstanding == 0) {
-          finish_round(round);
-        }
+        settle_poll(agent, poll, uptime, [&](std::size_t i) {
+          return std::optional(get_cells(result, i));
+        });
       });
 }
 
-snmp::TablePoller& NetworkMonitor::table_poller_for(const AgentTask& task) {
-  auto it = table_pollers_.find(task.node);
-  if (it == table_pollers_.end()) {
-    using snmp::mib2::kIfEntry;
-    using snmp::mib2::kIfXEntry;
-    std::vector<snmp::Oid> columns;
-    columns.reserve(6);
-    if (config_.use_hc_counters) {
-      columns.push_back(kIfXEntry.child(snmp::mib2::kIfHCInOctetsColumn));
-      columns.push_back(kIfXEntry.child(snmp::mib2::kIfHCOutOctetsColumn));
-    } else {
-      columns.push_back(kIfEntry.child(snmp::mib2::kIfInOctetsColumn));
-      columns.push_back(kIfEntry.child(snmp::mib2::kIfOutOctetsColumn));
+template <typename CellsOf>
+void NetworkMonitor::settle_poll(Agent& agent, const Poll& poll,
+                                 std::optional<std::uint32_t> uptime,
+                                 CellsOf cells_of) {
+  if (config_.spans != nullptr) config_.spans->end(poll.span, sim_.now());
+  bool ok = uptime.has_value();
+  for (std::size_t i = 0; uptime.has_value() && i < poll.targets.size();
+       ++i) {
+    const std::optional<CounterCells> cells = cells_of(i);
+    const std::optional<CounterSample> sample =
+        cells.has_value()
+            ? decode_sample(*uptime, config_.use_hc_counters, *cells)
+            : std::nullopt;
+    if (!sample.has_value()) {
+      ok = false;
+      continue;  // the interfaces that did decode are still ingested
     }
-    columns.push_back(kIfEntry.child(snmp::mib2::kIfInUcastPktsColumn));
-    columns.push_back(kIfEntry.child(snmp::mib2::kIfOutUcastPktsColumn));
-    columns.push_back(kIfEntry.child(snmp::mib2::kIfInDiscardsColumn));
-    columns.push_back(kIfEntry.child(snmp::mib2::kIfOutDiscardsColumn));
-    it = table_pollers_
-             .emplace(task.node, std::make_unique<snmp::TablePoller>(
-                                     client_, task.address, task.community,
-                                     std::move(columns)))
-             .first;
+    const InterfaceKey key{agent.task->node, poll.targets[i].interface};
+    if (const auto rate = db_->update(key, poll.sample_time, *sample);
+        rate.has_value() && modules_.has_interface_consumers()) {
+      modules_.dispatch_interface_sample(key, poll.sample_time, *rate);
+    }
   }
-  return *it->second;
+  if (!ok) {
+    agent_poll_failures_->inc();
+    if (poll.round != nullptr) poll.round->failed_any = true;
+  }
+  scheduler_->record_result(agent.task->node, ok, sim_.now());
+  if (const auto* state = scheduler_->find(agent.task->node)) {
+    agent.backoff->set(static_cast<double>(state->consecutive_failures));
+  }
+  count_out(poll.round);
 }
 
-void NetworkMonitor::poll_agent_batched(const AgentTask& task,
-                                        const std::shared_ptr<Round>& round) {
-  std::vector<std::string> wanted = task.interfaces;
-  if (auto it = extra_interfaces_.find(task.node);
-      it != extra_interfaces_.end()) {
-    wanted.insert(wanted.end(), it->second.begin(), it->second.end());
-  }
-  // Resolved (ifDescr, ifIndex) targets; the sweep returns whole rows, so
-  // unlike the GET path the request itself does not depend on these.
-  std::vector<std::pair<std::string, std::uint32_t>> targets;
-  targets.reserve(wanted.size());
-  for (const auto& if_name : wanted) {
-    auto it = if_indexes_.find({task.node, if_name});
-    if (it == if_indexes_.end()) continue;
-    targets.emplace_back(if_name, it->second);
-  }
-  if (targets.empty()) {
-    if (round != nullptr && --round->outstanding == 0) finish_round(round);
-    return;
-  }
-
-  const SimTime sample_time = round != nullptr ? round->started : sim_.now();
-
-  agent_polls_->inc();
-  obs::SpanRecorder::SpanId poll_span = 0;
-  const bool has_poll_span = config_.spans != nullptr;
-  if (has_poll_span) {
-    poll_span = config_.spans->begin("poll_agent", "monitor", sim_.now(),
-                                     {{"agent", task.node}});
-  }
-  table_poller_for(task).collect(
-      [this, node = task.node, targets = std::move(targets), round,
-       sample_time, poll_span, has_poll_span](snmp::TableResult table) {
-        if (has_poll_span) config_.spans->end(poll_span, sim_.now());
-        bool poll_ok = table.ok;
-        if (poll_ok) {
-          for (const auto& [if_name, index] : targets) {
-            if (index == 0 || index > table.rows.size() ||
-                !table.complete_row(index - 1, 6)) {
-              poll_ok = false;
-              continue;  // complete rows are still ingested below
-            }
-            const auto& cells = table.rows[index - 1].cells;
-            CounterSample sample;
-            sample.sys_uptime_ticks =
-                static_cast<std::uint32_t>(table.uptime_ticks);
-            sample.high_capacity = config_.use_hc_counters;
-            if (config_.use_hc_counters) {
-              const auto* in_oct = std::get_if<snmp::Counter64>(&cells[0]);
-              const auto* out_oct = std::get_if<snmp::Counter64>(&cells[1]);
-              if (in_oct == nullptr || out_oct == nullptr) {
-                poll_ok = false;
-                continue;
-              }
-              sample.in_octets = in_oct->value;
-              sample.out_octets = out_oct->value;
-            } else {
-              const auto* in_oct = std::get_if<snmp::Counter32>(&cells[0]);
-              const auto* out_oct = std::get_if<snmp::Counter32>(&cells[1]);
-              if (in_oct == nullptr || out_oct == nullptr) {
-                poll_ok = false;
-                continue;
-              }
-              sample.in_octets = in_oct->value;
-              sample.out_octets = out_oct->value;
-            }
-            const auto* in_pkt = std::get_if<snmp::Counter32>(&cells[2]);
-            const auto* out_pkt = std::get_if<snmp::Counter32>(&cells[3]);
-            const auto* in_disc = std::get_if<snmp::Counter32>(&cells[4]);
-            const auto* out_disc = std::get_if<snmp::Counter32>(&cells[5]);
-            if (in_pkt == nullptr || out_pkt == nullptr ||
-                in_disc == nullptr || out_disc == nullptr) {
-              poll_ok = false;
-              continue;
-            }
-            sample.in_packets = in_pkt->value;
-            sample.out_packets = out_pkt->value;
-            sample.in_discards = in_disc->value;
-            sample.out_discards = out_disc->value;
-            const InterfaceKey key{node, if_name};
-            if (const auto rate = db_->update(key, sample_time, sample);
-                rate.has_value() && modules_.has_interface_consumers()) {
-              modules_.dispatch_interface_sample(key, sample_time, *rate);
-            }
-          }
-        }
-        if (!poll_ok) {
-          agent_poll_failures_->inc();
-          if (round != nullptr) round->failed_any = true;
-        }
-        scheduler_->record_result(node, poll_ok, sim_.now());
-        if (const auto* state = scheduler_->find(node)) {
-          backoff_gauge(node).set(
-              static_cast<double>(state->consecutive_failures));
-        }
-        if (round != nullptr && --round->outstanding == 0) {
-          finish_round(round);
-        }
-      });
+void NetworkMonitor::count_out(const std::shared_ptr<Round>& round) {
+  if (round != nullptr && --round->outstanding == 0) finish_round(round);
 }
 
 void NetworkMonitor::finish_round(const std::shared_ptr<Round>& round) {
   rounds_completed_->inc();
   if (round->failed_any) rounds_failed_->inc();
   round_duration_->observe(to_seconds(sim_.now() - round->started));
-  if (round->has_span) config_.spans->end(round->span, sim_.now());
+  if (config_.spans != nullptr) config_.spans->end(round->span, sim_.now());
 
   // Metric computation is entirely the modules' job: the bandwidth
   // producer evaluates every watched path and emits the round's sample

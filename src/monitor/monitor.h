@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -266,37 +267,80 @@ class NetworkMonitor : private ModuleCore {
     std::size_t outstanding = 0;
     bool failed_any = false;
     obs::SpanRecorder::SpanId span = 0;
-    bool has_span = false;
   };
+
+  /// Everything kept per plan agent, polled here or not. Records are made
+  /// once by the constructor and never erased, so a released agent keeps
+  /// its ifIndexes, table poller and instruments for a re-adoption, and
+  /// in-flight callbacks may hold a reference.
+  struct Agent {
+    const AgentTask* task = nullptr;
+    bool polled = false;  ///< listed in polled_agents_
+    /// ifDescr -> ifIndex, from the agent's resolution walk.
+    std::unordered_map<std::string, std::uint32_t> if_indexes;
+    /// §4.1 fallback interfaces polled on top of task->interfaces while a
+    /// quarantine redirects measure points here.
+    std::vector<std::string> fallbacks;
+    /// The whole-table GETBULK collector (batch mode), made on first use.
+    std::unique_ptr<snmp::TablePoller> table_poller;
+    obs::HistogramMetric* rtt = nullptr;  ///< on the first answered GET
+    obs::Gauge* health = nullptr;         ///< from start() or adoption
+    obs::Gauge* backoff = nullptr;        ///< from start() or adoption
+  };
+
+  /// One interface a poll asks for.
+  struct Target {
+    std::string interface;  ///< ifDescr
+    std::uint32_t if_index = 0;
+  };
+
+  /// One agent poll in flight.
+  struct Poll {
+    std::vector<Target> targets;
+    std::shared_ptr<Round> round;  ///< null for an out-of-round re-probe
+    SimTime sample_time = 0;
+    obs::SpanRecorder::SpanId span = 0;
+  };
+
+  NetworkMonitor(sim::Simulator& sim, const topo::NetworkTopology& topo,
+                 sim::Host& station, StatsDb* shared_db, MonitorConfig config);
 
   void select_agents();
   void init_scheduler();
   void init_metrics(const std::string& station);
-  obs::HistogramMetric& rtt_histogram(const std::string& node);
-  obs::Gauge& health_gauge(const std::string& node);
-  obs::Gauge& backoff_gauge(const std::string& node);
+  /// Registers the agent's health and backoff gauges if needed and sets
+  /// both to 0.
+  void reset_agent_gauges(Agent& agent);
   /// Walks the next queued agent's ifDescr column; when the queue drains
   /// for the first time, schedules the first poll round.
   void pump_resolve_queue();
-  bool has_resolved_indexes(const std::string& node) const;
   void schedule_round(SimTime when);
   void run_round();
-  /// Launches one poll of `task`. `round` may be null for an out-of-round
-  /// re-probe (the sample is then stamped with the launch time).
-  void poll_agent(const AgentTask& task, const std::shared_ptr<Round>& round);
-  /// Batched variant: one whole-table GETBULK sweep via the agent's
-  /// TablePoller instead of a per-interface GET.
-  void poll_agent_batched(const AgentTask& task,
-                          const std::shared_ptr<Round>& round);
-  snmp::TablePoller& table_poller_for(const AgentTask& task);
+  /// Launches one poll of `agent`: a whole-table GETBULK sweep in batch
+  /// mode, else one GET naming each target's counter cells. `round` may
+  /// be null for an out-of-round re-probe (the sample is then stamped
+  /// with the launch time).
+  void poll_agent(Agent& agent, const std::shared_ptr<Round>& round);
+  /// Ingests every target whose cells decode (StatsDb update, then
+  /// interface-module dispatch), then charges the scheduler, the backoff
+  /// gauge and the round; the poll fails if any target does not decode.
+  /// `uptime` is nullopt when the answer is unusable as a whole;
+  /// `cells_of(i)` returns target i's cells, or nullopt when the answer
+  /// lacks them.
+  template <typename CellsOf>
+  void settle_poll(Agent& agent, const Poll& poll,
+                   std::optional<std::uint32_t> uptime, CellsOf cells_of);
+  /// Counts one launched-or-skipped agent out of its round.
+  void count_out(const std::shared_ptr<Round>& round);
   void finish_round(const std::shared_ptr<Round>& round);
   void on_health_transition(const std::string& node, AgentHealth from,
                             AgentHealth to);
   void on_link_event(const LinkEvent& event);
-  /// Rebuilds the per-agent list of fallback interfaces to poll on top of
-  /// each static AgentTask, from the plan's current effective points.
-  void recompute_extra_interfaces();
-  const AgentTask* task_for(const std::string& node) const;
+  /// Rebuilds every agent's fallback interfaces from the plan's current
+  /// effective points.
+  void recompute_fallbacks();
+  /// The record of an agent polled here, or null.
+  Agent* polled_agent(const std::string& node);
   const MonitoredPath& find_path_entry(const std::string& from,
                                        const std::string& to) const;
   /// Materializes a store series into the named scratch slot, returning a
@@ -322,41 +366,29 @@ class NetworkMonitor : private ModuleCore {
   obs::Counter* quarantine_transitions_ = nullptr;
   obs::HistogramMetric* round_duration_ = nullptr;
   obs::HistogramMetric* path_sample_age_ = nullptr;
-  // Per-agent RTT histograms (netqos_snmp_rtt_seconds{agent=...}), cached
-  // so the hot path avoids a registry lookup per poll.
-  std::map<std::string, obs::HistogramMetric*> rtt_histograms_;
-  // Per-agent health (0/1/2 = healthy/degraded/quarantined) and backoff
-  // level (consecutive failures) gauges, cached like the RTT histograms.
-  std::map<std::string, obs::Gauge*> health_gauges_;
-  std::map<std::string, obs::Gauge*> backoff_gauges_;
+  /// The counter columns each polled interface is read from, in
+  /// CounterSample order: GET asks for column.ifIndex, GETBULK sweeps the
+  /// columns whole.
+  std::vector<snmp::Oid> counter_columns_;
   snmp::SnmpClient client_;
   snmp::SubtreeWalker walker_;
   BandwidthCalculator calculator_;
   StatsDb own_db_;
   StatsDb* db_;  ///< &own_db_ or the shared db
   std::vector<const AgentTask*> polled_agents_;
-  // node -> task mirror of polled_agents_: task_for runs per poll launch,
-  // which is O(agents^2) per round on a fabric with a linear scan.
-  std::unordered_map<std::string, const AgentTask*> task_index_;
-  // Lazily built per-agent whole-table collectors (batch mode only).
-  std::unordered_map<std::string, std::unique_ptr<snmp::TablePoller>>
-      table_pollers_;
+  /// node -> record, for every plan agent.
+  std::unordered_map<std::string, Agent> agents_;
   // Built in the constructor body over polled_agents_ (hence the
   // indirection); never null after construction.
   std::unique_ptr<PollScheduler> scheduler_;
-  // Fallback interfaces polled in addition to each AgentTask's static
-  // list while a quarantine redirects measure points (§4.1).
-  std::map<std::string, std::vector<std::string>> extra_interfaces_;
 
   std::vector<MonitoredPath> paths_;
-  // (node, ifDescr) -> resolved ifIndex on that agent.
-  std::map<InterfaceKey, std::uint32_t> if_indexes_;
 
   bool running_ = false;
   // Agents awaiting their ifDescr resolution walk. The walker serves one
   // walk at a time, so the queue is pumped from each walk's callback;
   // agents adopted mid-run join the same queue.
-  std::deque<const AgentTask*> resolve_queue_;
+  std::deque<Agent*> resolve_queue_;
   bool resolving_ = false;
   bool rounds_scheduled_ = false;
   sim::EventId next_round_event_ = 0;

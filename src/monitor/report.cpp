@@ -46,20 +46,6 @@ MetricsJsonlSink::MetricsJsonlSink(NetworkMonitor& monitor,
   });
 }
 
-TraceJsonlSink::TraceJsonlSink(NetworkMonitor& monitor,
-                               const obs::SpanRecorder& spans,
-                               std::ostream& out)
-    : out_(out) {
-  monitor.add_stop_callback([this, &spans] {
-    spans.write_jsonl(out_);
-    out_.flush();
-    if (out_.bad()) {
-      NETQOS_WARN_C("report")
-          << "trace JSONL stream failed (badbit); timeline lost";
-    }
-  });
-}
-
 LoadWindowStats analyze_window(const TimeSeries& measured, SimTime begin,
                                SimTime end, BytesPerSecond generated,
                                BytesPerSecond background,

@@ -39,18 +39,6 @@ class MetricsJsonlSink {
   std::ostream& out_;
 };
 
-/// Writes the span timeline as trace-event JSONL when the monitor stops;
-/// companion to MetricsJsonlSink for the tracing side.
-class TraceJsonlSink {
- public:
-  /// `spans` and `out` must outlive the monitor's stop.
-  TraceJsonlSink(NetworkMonitor& monitor, const obs::SpanRecorder& spans,
-                 std::ostream& out);
-
- private:
-  std::ostream& out_;
-};
-
 /// One row of a Table 2 style summary for a constant-load window.
 struct LoadWindowStats {
   double generated_kbps = 0.0;        ///< KB/s, paper's "Generated Load"

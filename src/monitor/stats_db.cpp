@@ -54,16 +54,6 @@ std::optional<RateSample> StatsDb::latest_rate(
   return it->second.last_rate;
 }
 
-const TimeSeries* StatsDb::total_rate_series(const InterfaceKey& key) const {
-  const hist::Series* series =
-      history_.find(hist::interface_series_key(key.first, key.second));
-  if (series == nullptr) return nullptr;
-  TimeSeries& scratch = series_scratch_[key];
-  scratch = TimeSeries();
-  series->materialize_raw(scratch);
-  return &scratch;
-}
-
 std::optional<SimTime> StatsDb::last_update(const InterfaceKey& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end() || !it->second.has_sample) return std::nullopt;

@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 
-#include "common/stats.h"
 #include "history/store.h"
 #include "monitor/counter_math.h"
 #include "obs/metrics.h"
@@ -43,16 +42,10 @@ class StatsDb {
   /// Most recent rates for an interface.
   std::optional<RateSample> latest_rate(const InterfaceKey& key) const;
 
-  /// History of total (in+out) byte rates, materialized from the bounded
-  /// history ring: a snapshot as of this call (re-fetch after advancing
-  /// the simulation), holding at most the retention policy's raw
-  /// capacity. The reference stays valid until the next call for the
-  /// same interface. Nullptr before the interface's first rate.
-  const TimeSeries* total_rate_series(const InterfaceKey& key) const;
-
-  /// The bounded store backing all per-interface rate history. Windowed
-  /// min/mean/max/p95 queries go through here (hist::interface_series_key
-  /// names the series).
+  /// The bounded store backing all per-interface rate history: total
+  /// (in+out) byte rates, named by hist::interface_series_key. Windowed
+  /// min/mean/max/p95 queries go through here; the raw ring holds the
+  /// individual rates.
   const hist::HistoryStore& history() const { return history_; }
 
   /// Number of interfaces tracked.
@@ -84,9 +77,6 @@ class StatsDb {
   std::map<InterfaceKey, Entry> entries_;
   hist::HistoryStore history_;
   SimTime last_update_ = 0;
-  /// Scratch for total_rate_series(): the materialized snapshot the
-  /// returned reference points into.
-  mutable std::map<InterfaceKey, TimeSeries> series_scratch_;
 
   obs::Counter* updates_ = nullptr;
   obs::Counter* counter_wraps_ = nullptr;

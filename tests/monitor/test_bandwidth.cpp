@@ -145,11 +145,18 @@ TEST_F(BandwidthFixture, EmptyPathIsIncomplete) {
   EXPECT_DOUBLE_EQ(usage.available, 0.0);
 }
 
+/// The interface's raw rate ring in the db's history store, or null.
+const hist::RingTier* raw_rates(const StatsDb& db, const InterfaceKey& key) {
+  const hist::Series* series =
+      db.history().find(hist::interface_series_key(key.first, key.second));
+  return series != nullptr ? &series->raw() : nullptr;
+}
+
 TEST(StatsDbBasics, UpdateAndSeries) {
   StatsDb db;
   const InterfaceKey key{"n", "e"};
   EXPECT_FALSE(db.latest_rate(key).has_value());
-  EXPECT_EQ(db.total_rate_series(key), nullptr);
+  EXPECT_EQ(raw_rates(db, key), nullptr);
 
   EXPECT_FALSE(db.update(key, seconds(0), {0, 0, 0, 0, 0}).has_value());
   const auto rates = db.update(key, seconds(2), {200, 1000, 1000, 5, 5});
@@ -157,10 +164,11 @@ TEST(StatsDbBasics, UpdateAndSeries) {
   EXPECT_DOUBLE_EQ(rates->total_rate(), 1000.0);
 
   ASSERT_TRUE(db.latest_rate(key).has_value());
-  const TimeSeries* series = db.total_rate_series(key);
+  const hist::RingTier* series = raw_rates(db, key);
   ASSERT_NE(series, nullptr);
   ASSERT_EQ(series->size(), 1u);
-  EXPECT_EQ(series->points()[0].time, seconds(2));
+  EXPECT_EQ(series->at(0).start, seconds(2));
+  EXPECT_DOUBLE_EQ(series->at(0).last, 1000.0);
   EXPECT_EQ(db.size(), 1u);
   EXPECT_EQ(db.last_update(), seconds(2));
 }
@@ -173,7 +181,7 @@ TEST(StatsDbBasics, ZeroTickUpdateKeepsPreviousRate) {
   // Same agent uptime (cached snapshot): no new rate recorded.
   const auto none = db.update(key, seconds(4), {200, 1000, 0, 1, 0});
   EXPECT_FALSE(none.has_value());
-  EXPECT_EQ(db.total_rate_series(key)->size(), 1u);
+  EXPECT_EQ(raw_rates(db, key)->size(), 1u);
   EXPECT_TRUE(db.latest_rate(key).has_value());
 }
 

@@ -101,14 +101,29 @@ TEST(ClientStress, InterleavedRequestIdsNeverCrossTalk) {
   EXPECT_EQ(ok_two, 50);
 }
 
+// Every (GET | GETBULK) x (Counter32 | Counter64) combination reads the
+// same S1<->S2 level: the testbed's own monitor on L (GET, Counter32)
+// against one monitor per other combination, each on its own station.
 TEST(Equivalence, HcAndClassicSeriesAgreeUnderLoad) {
   exp::LirtssTestbed bed;
-  MonitorConfig hc;
-  hc.use_hc_counters = true;
-  NetworkMonitor hc_monitor(bed.simulator(), bed.topology(), bed.host("S6"),
-                            hc);
-  hc_monitor.add_path("S1", "S2");
-  hc_monitor.start();
+  struct Mode {
+    const char* station;
+    bool batch_table_polls;
+    bool use_hc_counters;
+  };
+  const Mode modes[] = {{"S6", false, true},  // GET, Counter64
+                        {"S4", true, false},  // GETBULK, Counter32
+                        {"S5", true, true}};  // GETBULK, Counter64
+  std::vector<std::unique_ptr<NetworkMonitor>> monitors;
+  for (const Mode& mode : modes) {
+    MonitorConfig config;
+    config.batch_table_polls = mode.batch_table_polls;
+    config.use_hc_counters = mode.use_hc_counters;
+    monitors.push_back(std::make_unique<NetworkMonitor>(
+        bed.simulator(), bed.topology(), bed.host(mode.station), config));
+    monitors.back()->add_path("S1", "S2");
+    monitors.back()->start();
+  }
   bed.watch("S1", "S2");
   bed.add_load("L", "S2",
                load::RateProfile::pulse(seconds(4), seconds(30),
@@ -118,9 +133,14 @@ TEST(Equivalence, HcAndClassicSeriesAgreeUnderLoad) {
   const double classic = bed.monitor()
                              .used_series("S1", "S2")
                              .mean_between(seconds(10), seconds(28));
-  const double hc_level = hc_monitor.used_series("S1", "S2")
-                              .mean_between(seconds(10), seconds(28));
-  EXPECT_NEAR(classic, hc_level, classic * 0.02);
+  for (std::size_t i = 0; i < monitors.size(); ++i) {
+    const double level = monitors[i]->used_series("S1", "S2")
+                             .mean_between(seconds(10), seconds(28));
+    EXPECT_NEAR(classic, level, classic * 0.02)
+        << "station " << modes[i].station << ", batch "
+        << modes[i].batch_table_polls << ", hc "
+        << modes[i].use_hc_counters;
+  }
 }
 
 }  // namespace

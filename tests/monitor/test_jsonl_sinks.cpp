@@ -1,5 +1,5 @@
-// Stop-flush contract of the JSONL sinks: a run's final metrics/trace
-// snapshots must land in the stream via monitor.stop(), with no explicit
+// Stop-flush contract of the metrics JSONL sink: a run's final metrics
+// snapshot must land in the stream via monitor.stop(), with no explicit
 // render call after the run (the bug CsvSink's stop-flush fixed for CSV).
 #include <gtest/gtest.h>
 
@@ -9,21 +9,12 @@
 #include "experiments/lirtss.h"
 #include "monitor/report.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace netqos::mon {
 namespace {
 
 // One poll interval (2s) plus margin: a single completed poll round.
 constexpr SimTime kOnePollRun = seconds(3);
-
-std::size_t line_count(const std::string& text) {
-  std::size_t lines = 0;
-  for (char c : text) {
-    if (c == '\n') lines++;
-  }
-  return lines;
-}
 
 TEST(JsonlSinks, MetricsSnapshotFlushedByStop) {
   obs::MetricsRegistry registry;
@@ -53,27 +44,6 @@ TEST(JsonlSinks, MetricsSnapshotFlushedByStop) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-}
-
-TEST(JsonlSinks, TraceTimelineFlushedByStop) {
-  obs::MetricsRegistry registry;
-  obs::SpanRecorder spans;
-  exp::TestbedOptions options;
-  options.metrics = &registry;
-  options.spans = &spans;
-  exp::LirtssTestbed bed(options);
-  bed.watch("S1", "N1");
-
-  std::ostringstream out;
-  TraceJsonlSink sink(bed.monitor(), spans, out);
-  bed.run_until(kOnePollRun);
-  EXPECT_TRUE(out.str().empty());
-
-  bed.monitor().stop();
-  const std::string jsonl = out.str();
-  ASSERT_FALSE(jsonl.empty());
-  EXPECT_NE(jsonl.find("\"name\":\"poll_round\""), std::string::npos);
-  EXPECT_EQ(line_count(jsonl), spans.spans().size());
 }
 
 TEST(JsonlSinks, StopWithoutPollStillWritesRegisteredSeries) {

@@ -1,0 +1,65 @@
+// The monitor's ingest rule, under both fetch strategies (per-interface
+// GET and whole-table GETBULK): an interface whose counter cells do not
+// decode is dropped and fails the poll, while every other interface the
+// same answer carries is still ingested.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+#include "experiments/lirtss.h"
+#include "snmp/deploy.h"
+
+namespace netqos::mon {
+namespace {
+
+class PollPathIngest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PollPathIngest, OneUndecodableCellCostsOnlyItsOwnInterface) {
+  exp::LirtssTestbed bed;
+  // sw0.p4 (S3's port) answers ifInOctets with an INTEGER, not a
+  // Counter32.
+  snmp::DeployedAgent* sw0 = snmp::find_agent(bed.agents(), "sw0");
+  ASSERT_NE(sw0, nullptr);
+  const std::uint32_t p4 = sw0->if_table->index_of(
+      *bed.network().find_switch("sw0")->find_interface("p4"));
+  ASSERT_NE(p4, 0u);
+  sw0->agent->mib().register_object(
+      snmp::mib2::if_column(snmp::mib2::kIfInOctetsColumn, p4),
+      [] { return snmp::SnmpValue(std::int64_t{42}); });
+
+  MonitorConfig config;
+  config.batch_table_polls = GetParam();
+  config.scheduler.backoff_base = 1.0;  // sw0 stays due every round
+  NetworkMonitor monitor(bed.simulator(), bed.topology(), bed.host("L"),
+                         config);
+  monitor.add_path("S1", "S4");
+  bed.background().start();
+  monitor.start();
+  bed.simulator().run_until(seconds(20));
+
+  const auto& polled = monitor.polled_agents();
+  const auto task = std::find_if(polled.begin(), polled.end(),
+                                 [](const AgentTask* t) {
+                                   return t->node == "sw0";
+                                 });
+  ASSERT_NE(task, polled.end());
+  const std::vector<std::string>& ports = (*task)->interfaces;
+  ASSERT_NE(std::find(ports.begin(), ports.end(), "p4"), ports.end());
+  ASSERT_GT(ports.size(), 1u);
+  for (const std::string& port : ports) {
+    const auto rate = monitor.stats_db().latest_rate({"sw0", port});
+    EXPECT_EQ(rate.has_value(), port != "p4") << "sw0." << port;
+  }
+  EXPECT_GT(monitor.stats().agent_poll_failures, 0u);
+  // Agentless S4 is measured only at sw0.p5.
+  EXPECT_TRUE(monitor.current_usage("S1", "S4").complete);
+}
+
+INSTANTIATE_TEST_SUITE_P(FetchStrategies, PollPathIngest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& strategy) {
+                           return strategy.param ? "GetBulk" : "Get";
+                         });
+
+}  // namespace
+}  // namespace netqos::mon
