@@ -26,7 +26,6 @@
 //   probes  runs active estimators (default: all of them) on every qos
 //           path and prints their convergence state and latest estimate
 //           as carried in the health snapshot.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,17 +33,13 @@
 #include <string>
 #include <vector>
 
+#include "cli_probes.h"
 #include "experiments/lirtss.h"
 #include "monitor/modules/registry.h"
 #include "monitor/qos.h"
-#include "probe/estimator.h"
-#include "probe/registry.h"
-#include "probe/sink.h"
 #include "query/client.h"
 #include "query/engine.h"
 #include "query/server.h"
-#include "topology/model.h"
-#include "topology/path.h"
 
 using namespace netqos;
 
@@ -119,24 +114,6 @@ Options parse_args(int argc, char** argv) {
   return options;
 }
 
-const char* health_name(std::uint8_t health) {
-  switch (health) {
-    case 0: return "healthy";
-    case 1: return "degraded";
-    case 2: return "quarantined";
-    default: return "?";
-  }
-}
-
-const char* freshness_label(std::uint8_t freshness) {
-  switch (freshness) {
-    case 0: return "unknown";
-    case 1: return "fresh";
-    case 2: return "stale";
-    default: return "?";
-  }
-}
-
 void print_window(const query::WindowResponse& response) {
   std::printf("window [%.1fs, %.1fs) at t=%.1fs, %zu rows\n",
               to_seconds(response.begin), to_seconds(response.end),
@@ -161,7 +138,9 @@ void print_health(const query::HealthResponse& response) {
               "failures", "quarantines", "due");
   for (const query::AgentHealthRow& agent : response.agents) {
     std::printf("%-6s %-12s %8llu %9llu %12llu %7.1fs\n",
-                agent.node.c_str(), health_name(agent.health),
+                agent.node.c_str(),
+                mon::agent_health_name(
+                    static_cast<mon::AgentHealth>(agent.health)),
                 static_cast<unsigned long long>(agent.polls),
                 static_cast<unsigned long long>(agent.failures),
                 static_cast<unsigned long long>(agent.quarantines),
@@ -180,7 +159,8 @@ void print_health(const query::HealthResponse& response) {
                 (path.from + "<->" + path.to).c_str(),
                 to_kilobytes_per_second(path.used),
                 to_kilobytes_per_second(path.available),
-                freshness_label(path.freshness),
+                mon::freshness_name(
+                    static_cast<mon::Freshness>(path.freshness)),
                 to_seconds(path.max_sample_age), flags.c_str());
   }
   std::printf("(rates in KB/s)\n");
@@ -250,14 +230,8 @@ int main(int argc, char** argv) {
   // samples flow, so their telemetry covers the whole run.
   if (options.command == "modules") {
     try {
-      std::string list = options.modules;
-      if (list.empty()) {
-        for (const mon::ModuleSpec& spec : mon::available_modules()) {
-          if (!list.empty()) list += ",";
-          list += spec.name;
-        }
-      }
-      for (auto& module : mon::make_modules(list)) {
+      for (auto& module : mon::make_modules(
+               options.modules.empty() ? "all" : options.modules)) {
         testbed.monitor().add_module(std::move(module));
       }
     } catch (const std::exception& e) {
@@ -269,82 +243,25 @@ int main(int argc, char** argv) {
   // The `probes` command runs active estimators next to the passive
   // monitor — their traffic crosses the same simulated links — and
   // exposes their status through the query engine's provider hook.
-  std::vector<std::unique_ptr<probe::ProbeSink>> probe_sinks;
-  std::vector<std::unique_ptr<probe::Estimator>> estimators;
+  cli::ProbeSet probes;
   if (options.command == "probes") {
-    std::vector<std::string> probe_names;
-    if (options.probe == "all") {
-      probe_names = probe::available_estimators();
-    } else {
-      std::string item;
-      for (const char c : options.probe + ",") {
-        if (c == ',') {
-          if (!item.empty()) probe_names.push_back(item);
-          item.clear();
-        } else {
-          item += c;
-        }
-      }
-    }
-    const topo::NetworkTopology& topology = testbed.specfile().topology;
-    std::vector<std::string> sink_hosts;
+    std::vector<mon::PathKey> pairs;
     for (const auto& req : testbed.specfile().qos) {
-      const auto topo_path =
-          topo::traverse_recursive(topology, req.from, req.to);
-      if (!topo_path.has_value()) {
-        std::fprintf(stderr, "error: cannot probe %s -> %s\n",
-                     req.from.c_str(), req.to.c_str());
-        return 1;
-      }
-      BitsPerSecond capacity = 0;
-      for (const std::size_t index : *topo_path) {
-        const BitsPerSecond speed =
-            topo::connection_speed(topology, topology.connections()[index]);
-        capacity = capacity == 0 ? speed : std::min(capacity, speed);
-      }
-      sim::Host& src = testbed.host(req.from);
-      sim::Host& dst = testbed.host(req.to);
-      if (std::find(sink_hosts.begin(), sink_hosts.end(), req.to) ==
-          sink_hosts.end()) {
-        probe_sinks.push_back(std::make_unique<probe::ProbeSink>(dst));
-        sink_hosts.push_back(req.to);
-      }
-      for (const std::string& name : probe_names) {
-        std::unique_ptr<probe::Estimator> estimator;
-        try {
-          estimator = probe::make_estimator(name, src, dst.ip(),
-                                            {req.from, req.to, capacity});
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "error: %s\n", e.what());
-          return 1;
-        }
-        estimator->start();
-        estimators.push_back(std::move(estimator));
-      }
+      pairs.emplace_back(req.from, req.to);
+    }
+    try {
+      probes = cli::start_probes(testbed.topology(), testbed.network(),
+                                 pairs, options.probe, nullptr);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
   }
 
   query::QueryEngine engine(testbed.monitor());
-  if (!estimators.empty()) {
-    engine.set_probe_status_provider([&estimators] {
-      std::vector<query::ProbeStatusRow> rows;
-      for (const auto& estimator : estimators) {
-        query::ProbeStatusRow row;
-        row.estimator = estimator->name();
-        row.from = estimator->path().from;
-        row.to = estimator->path().to;
-        row.convergence = static_cast<std::uint8_t>(estimator->convergence());
-        row.running = estimator->running();
-        const auto latest = estimator->latest();
-        row.has_estimate = latest.has_value();
-        row.available = latest.value_or(0.0);
-        row.estimates = estimator->estimates().size();
-        row.wire_bytes = estimator->stats().probe_wire_bytes +
-                         estimator->stats().report_wire_bytes;
-        rows.push_back(std::move(row));
-      }
-      return rows;
-    });
+  if (!probes.estimators.empty()) {
+    engine.set_probe_status_provider(
+        [&probes] { return probes.status_rows(); });
   }
   query::QueryServer server(simulator, testbed.host("L"), engine);
   server.attach(detector);

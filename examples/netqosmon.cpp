@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_probes.h"
 #include "common/log.h"
 #include "experiments/lirtss.h"
 #include "history/forecast.h"
@@ -35,12 +36,9 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "probe/hybrid.h"
-#include "probe/registry.h"
-#include "probe/sink.h"
 #include "query/engine.h"
 #include "query/server.h"
 #include "spec/testbed.h"
-#include "topology/path.h"
 
 using namespace netqos;
 
@@ -254,16 +252,8 @@ int main(int argc, char** argv) {
   // pre-module-layer one.
   std::vector<std::string> module_names;
   if (!options.modules.empty()) {
-    std::string list = options.modules;
-    if (list == "all") {
-      list.clear();
-      for (const mon::ModuleSpec& spec : mon::available_modules()) {
-        if (!list.empty()) list += ",";
-        list += spec.name;
-      }
-    }
     try {
-      for (auto& module : mon::make_modules(list)) {
+      for (auto& module : mon::make_modules(options.modules)) {
         module_names.push_back(module->name());
         monitor.add_module(std::move(module));
       }
@@ -328,69 +318,24 @@ int main(int argc, char** argv) {
   // cross-check module feeding confidence into the predictive detector
   // (when one is running). Without --probe nothing here executes and no
   // probe byte exists anywhere in the simulation.
-  std::vector<std::unique_ptr<probe::ProbeSink>> probe_sinks;
-  std::vector<std::unique_ptr<probe::Estimator>> estimators;
+  cli::ProbeSet probes;
   if (!options.probe.empty()) {
-    std::vector<std::string> probe_names;
-    if (options.probe == "all") {
-      probe_names = probe::available_estimators();
-    } else {
-      std::string item;
-      for (const char c : options.probe + ",") {
-        if (c == ',') {
-          if (!item.empty()) probe_names.push_back(item);
-          item.clear();
-        } else {
-          item += c;
-        }
-      }
-    }
-    std::vector<std::string> sink_hosts;
-    for (const auto& [from, to] : pairs) {
-      sim::Host* src = network->find_host(from);
-      sim::Host* dst = network->find_host(to);
-      const auto topo_path =
-          topo::traverse_recursive(specfile.topology, from, to);
-      if (src == nullptr || dst == nullptr || !topo_path.has_value()) {
-        std::fprintf(stderr, "error: cannot probe %s -> %s\n", from.c_str(),
-                     to.c_str());
-        return 1;
-      }
-      BitsPerSecond capacity = 0;
-      for (const std::size_t index : *topo_path) {
-        const BitsPerSecond speed = connection_speed(
-            specfile.topology, specfile.topology.connections()[index]);
-        capacity = capacity == 0 ? speed : std::min(capacity, speed);
-      }
-      if (std::find(sink_hosts.begin(), sink_hosts.end(), to) ==
-          sink_hosts.end()) {
-        probe_sinks.push_back(std::make_unique<probe::ProbeSink>(*dst));
-        sink_hosts.push_back(to);
-      }
-      bool first_on_pair = true;
-      for (const std::string& name : probe_names) {
-        std::unique_ptr<probe::Estimator> estimator;
-        try {
-          estimator = probe::make_estimator(name, *src, dst->ip(),
-                                            {from, to, capacity});
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "error: %s\n", e.what());
-          return 1;
-        }
-        estimator->attach_metrics(registry);
-        estimator->start();
-        if (first_on_pair && predictive != nullptr) {
-          auto hybrid = std::make_unique<probe::HybridEstimator>();
-          hybrid->set_estimator(*estimator);
-          hybrid->set_detector(*predictive);
-          monitor.add_module(std::move(hybrid));
-        }
-        first_on_pair = false;
-        estimators.push_back(std::move(estimator));
-      }
+    try {
+      probes = cli::start_probes(
+          specfile.topology, *network, pairs, options.probe, &registry,
+          [&](probe::Estimator& first) {
+            if (predictive == nullptr) return;
+            auto hybrid = std::make_unique<probe::HybridEstimator>();
+            hybrid->set_estimator(first);
+            hybrid->set_detector(*predictive);
+            monitor.add_module(std::move(hybrid));
+          });
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
     std::printf("# probing %zu paths with %zu estimators\n", pairs.size(),
-                estimators.size());
+                probes.estimators.size());
   }
 
   // Query service: binds the well-known port on the station so external
@@ -406,27 +351,9 @@ int main(int argc, char** argv) {
     server->attach(detector);
     if (predictive != nullptr) server->attach(*predictive);
     server->attach_agent_events(monitor);
-    if (!estimators.empty()) {
-      engine->set_probe_status_provider([&estimators] {
-        std::vector<query::ProbeStatusRow> rows;
-        for (const auto& estimator : estimators) {
-          query::ProbeStatusRow row;
-          row.estimator = estimator->name();
-          row.from = estimator->path().from;
-          row.to = estimator->path().to;
-          row.convergence =
-              static_cast<std::uint8_t>(estimator->convergence());
-          row.running = estimator->running();
-          const auto latest = estimator->latest();
-          row.has_estimate = latest.has_value();
-          row.available = latest.value_or(0.0);
-          row.estimates = estimator->estimates().size();
-          row.wire_bytes = estimator->stats().probe_wire_bytes +
-                           estimator->stats().report_wire_bytes;
-          rows.push_back(std::move(row));
-        }
-        return rows;
-      });
+    if (!probes.estimators.empty()) {
+      engine->set_probe_status_provider(
+          [&probes] { return probes.status_rows(); });
     }
     std::printf("# query server: %s udp/%u\n", station->name().c_str(),
                 server->port());
@@ -566,7 +493,7 @@ int main(int argc, char** argv) {
 
   // End-of-run probe summary — printed only under --probe, so a plain
   // run's stdout stays bit-identical.
-  for (const auto& estimator : estimators) {
+  for (const auto& estimator : probes.estimators) {
     estimator->stop();
     const auto& pstats = estimator->stats();
     const auto latest = estimator->latest();

@@ -143,8 +143,8 @@ struct Scenario {
     }
     csv = std::make_unique<mon::CsvSink>(bed.monitor(), out);
     if (observers) {
-      for (const mon::ModuleSpec& spec : mon::available_modules()) {
-        bed.monitor().add_module(mon::make_module(spec.name));
+      for (auto& module : mon::make_modules("all")) {
+        bed.monitor().add_module(std::move(module));
       }
       // The probe cross-check module rides along too: with no estimator
       // feeding it, it must stay inert even with the detector wired up.

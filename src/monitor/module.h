@@ -39,6 +39,14 @@ namespace netqos::mon {
 /// A monitored host pair, as given to NetworkMonitor::add_path.
 using PathKey = std::pair<std::string, std::string>;
 
+/// True when `key` joins hosts `a` and `b`, in either order: a path and
+/// its reverse are one monitored path.
+inline bool same_pair(const PathKey& key, const std::string& a,
+                      const std::string& b) {
+  return (key.first == a && key.second == b) ||
+         (key.first == b && key.second == a);
+}
+
 /// One registered path as modules see it. `path` points into the core's
 /// registry and stays valid for the core's lifetime.
 struct WatchedPath {
@@ -60,9 +68,11 @@ class ModuleCore {
   virtual const BandwidthCalculator& calculator() const = 0;
   virtual const std::vector<WatchedPath>& watched_paths() const = 0;
   virtual SimDuration poll_interval() const = 0;
-  virtual SimDuration stale_after() const = 0;
-  /// Trap-driven link state (false when no failure detector is attached).
-  virtual bool connection_down(std::size_t connection) const = 0;
+  /// The path's usage at `now`: the calculator's hub/switch rules and
+  /// staleness bound, then trap-driven link state (a downed connection
+  /// reads as zero available, with `link_down` set).
+  virtual PathUsage evaluate_path(const topo::Path& path,
+                                  SimTime now) const = 0;
   virtual const std::string& station() const = 0;
 
   // Emission hooks, meaningful during the produce phase. The core routes

@@ -24,21 +24,8 @@ void BandwidthModule::produce(ModuleCore& core, SimTime round_start) {
   }
 
   for (const WatchedPath& watched : core.watched_paths()) {
-    PathUsage usage = core.calculator().path_usage(
-        *watched.path, core.samples(), round_start, core.stale_after());
+    const PathUsage usage = core.evaluate_path(*watched.path, round_start);
     core.observe_path_age(usage.max_sample_age);
-
-    // Trap-driven link state overrides counters: a downed connection
-    // means zero availability now, however fresh the last rates look.
-    for (std::size_t ci : *watched.path) {
-      if (core.connection_down(ci)) {
-        usage.link_down = true;
-        usage.complete = true;
-        usage.available = 0.0;
-        usage.bottleneck = ci;
-        break;
-      }
-    }
     if (!usage.complete) {  // first round has no rates yet
       ++paths_incomplete_;
       continue;

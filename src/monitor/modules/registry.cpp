@@ -26,6 +26,12 @@ std::unique_ptr<Module> make_module(const std::string& name) {
 
 std::vector<std::unique_ptr<Module>> make_modules(const std::string& list) {
   std::vector<std::unique_ptr<Module>> modules;
+  if (list == "all") {
+    for (const ModuleSpec& spec : available_modules()) {
+      modules.push_back(make_module(spec.name));
+    }
+    return modules;
+  }
   std::size_t begin = 0;
   while (begin <= list.size()) {
     std::size_t end = list.find(',', begin);

@@ -1,5 +1,5 @@
 // Factory registry of the optional observer modules — the set
-// `netqosmon --modules=...` can enable per run. Built-in pipeline
+// `netqosmon --modules LIST` can enable per run. Built-in pipeline
 // modules (bandwidth) and externally owned ones (the detectors, latency
 // aggregation) are not constructed here; this names only the modules a
 // run opts into by name.
@@ -24,9 +24,9 @@ const std::vector<ModuleSpec>& available_modules();
 /// Constructs a module by registry name; nullptr for an unknown name.
 std::unique_ptr<Module> make_module(const std::string& name);
 
-/// Comma-separated `--modules=` list -> constructed modules. Throws
-/// std::invalid_argument naming the offending entry (and the known
-/// names) on an unknown module.
+/// Comma-separated `--modules` list -> constructed modules; "all" is
+/// every module in listing order. Throws std::invalid_argument naming
+/// the offending entry (and the known names) on an unknown module.
 std::vector<std::unique_ptr<Module>> make_modules(const std::string& list);
 
 }  // namespace netqos::mon

@@ -188,8 +188,9 @@ void NetworkMonitor::init_metrics(const std::string& station) {
   rounds_failed_ = &metrics_->counter(
       "netqos_poll_rounds_failed_total",
       "Completed rounds in which at least one agent poll failed", labels);
-  agent_polls_ = &metrics_->counter("netqos_agent_polls_total",
-                                    "Per-agent GET requests issued", labels);
+  agent_polls_ = &metrics_->counter(
+      "netqos_agent_polls_total",
+      "Agent polls launched, each one GET or one GETBULK sweep", labels);
   agent_poll_failures_ = &metrics_->counter(
       "netqos_agent_poll_failures_total",
       "Agent polls that timed out, errored, or failed to parse", labels);
@@ -551,11 +552,13 @@ void NetworkMonitor::poll_agent(Agent& agent,
   if (config_.batch_table_polls && !agent.table_poller->busy()) {
     agent.table_poller->collect(
         [this, &agent, poll = std::move(poll)](snmp::TableResult table) {
+          std::optional<SimDuration> rtt;
           std::optional<std::uint32_t> uptime;
           if (table.ok) {
+            rtt = table.rtt;
             uptime = static_cast<std::uint32_t>(table.uptime_ticks);
           }
-          settle_poll(agent, poll, uptime, [&](std::size_t i) {
+          settle_poll(agent, poll, rtt, uptime, [&](std::size_t i) {
             return row_cells(table, poll.targets[i].if_index);
           });
         });
@@ -573,15 +576,10 @@ void NetworkMonitor::poll_agent(Agent& agent,
   client_.get(
       task.address, task.community, std::move(oids),
       [this, &agent, poll = std::move(poll)](snmp::SnmpResult result) {
+        std::optional<SimDuration> rtt;
         std::optional<std::uint32_t> uptime;
         if (result.ok()) {
-          if (agent.rtt == nullptr) {
-            agent.rtt = &metrics_->histogram(
-                "netqos_snmp_rtt_seconds",
-                "SNMP request round-trip time per polled agent", kRttBounds,
-                {{"agent", agent.task->node}, {"station", station_label_}});
-          }
-          agent.rtt->observe(to_seconds(result.rtt));
+          rtt = result.rtt;
           const auto* ticks =
               result.varbinds.size() ==
                       1 + kCounterCells * poll.targets.size()
@@ -589,7 +587,7 @@ void NetworkMonitor::poll_agent(Agent& agent,
                   : nullptr;
           if (ticks != nullptr) uptime = ticks->value;
         }
-        settle_poll(agent, poll, uptime, [&](std::size_t i) {
+        settle_poll(agent, poll, rtt, uptime, [&](std::size_t i) {
           return std::optional(get_cells(result, i));
         });
       });
@@ -597,8 +595,18 @@ void NetworkMonitor::poll_agent(Agent& agent,
 
 template <typename CellsOf>
 void NetworkMonitor::settle_poll(Agent& agent, const Poll& poll,
+                                 std::optional<SimDuration> rtt,
                                  std::optional<std::uint32_t> uptime,
                                  CellsOf cells_of) {
+  if (rtt.has_value()) {
+    if (agent.rtt == nullptr) {
+      agent.rtt = &metrics_->histogram(
+          "netqos_snmp_rtt_seconds",
+          "SNMP request round-trip time per polled agent", kRttBounds,
+          {{"agent", agent.task->node}, {"station", station_label_}});
+    }
+    agent.rtt->observe(to_seconds(*rtt));
+  }
   if (config_.spans != nullptr) config_.spans->end(poll.span, sim_.now());
   bool ok = uptime.has_value();
   for (std::size_t i = 0; uptime.has_value() && i < poll.targets.size();
@@ -685,10 +693,7 @@ const TimeSeries* NetworkMonitor::connection_used_series(
 const NetworkMonitor::MonitoredPath& NetworkMonitor::find_path_entry(
     const std::string& from, const std::string& to) const {
   for (const auto& entry : paths_) {
-    if ((entry.key.first == from && entry.key.second == to) ||
-        (entry.key.first == to && entry.key.second == from)) {
-      return entry;
-    }
+    if (same_pair(entry.key, from, to)) return entry;
   }
   throw std::out_of_range("path " + from + " <-> " + to + " not monitored");
 }
@@ -707,10 +712,28 @@ const TimeSeries& NetworkMonitor::available_series(
       hist::path_series_key(entry.key.first, entry.key.second, "avail"));
 }
 
+PathUsage NetworkMonitor::evaluate_path(const topo::Path& path,
+                                        SimTime now) const {
+  PathUsage usage =
+      calculator_.path_usage(path, *db_, now, effective_stale_after());
+  if (failure_detector_ == nullptr) return usage;
+  // Trap-driven link state overrides counters: a downed connection
+  // means zero availability now, however fresh the last rates look.
+  for (std::size_t ci : path) {
+    if (failure_detector_->connection_down(ci)) {
+      usage.link_down = true;
+      usage.complete = true;
+      usage.available = 0.0;
+      usage.bottleneck = ci;
+      break;
+    }
+  }
+  return usage;
+}
+
 PathUsage NetworkMonitor::current_usage(const std::string& from,
                                         const std::string& to) const {
-  return calculator_.path_usage(find_path_entry(from, to).path, *db_,
-                                sim_.now(), effective_stale_after());
+  return evaluate_path(find_path_entry(from, to).path, sim_.now());
 }
 
 const topo::Path& NetworkMonitor::path_of(const std::string& from,

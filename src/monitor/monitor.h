@@ -244,13 +244,8 @@ class NetworkMonitor : private ModuleCore {
   SimDuration poll_interval() const override {
     return config_.poll_interval;
   }
-  SimDuration stale_after() const override {
-    return effective_stale_after();
-  }
-  bool connection_down(std::size_t connection) const override {
-    return failure_detector_ != nullptr &&
-           failure_detector_->connection_down(connection);
-  }
+  PathUsage evaluate_path(const topo::Path& path,
+                          SimTime now) const override;
   void emit_path_sample(const PathKey& key, SimTime time,
                         const PathUsage& usage) override;
   void emit_connection_sample(std::size_t connection, SimTime time,
@@ -283,7 +278,7 @@ class NetworkMonitor : private ModuleCore {
     std::vector<std::string> fallbacks;
     /// The whole-table GETBULK collector (batch mode), made on first use.
     std::unique_ptr<snmp::TablePoller> table_poller;
-    obs::HistogramMetric* rtt = nullptr;  ///< on the first answered GET
+    obs::HistogramMetric* rtt = nullptr;  ///< on the first answered poll
     obs::Gauge* health = nullptr;         ///< from start() or adoption
     obs::Gauge* backoff = nullptr;        ///< from start() or adoption
   };
@@ -321,14 +316,16 @@ class NetworkMonitor : private ModuleCore {
   /// be null for an out-of-round re-probe (the sample is then stamped
   /// with the launch time).
   void poll_agent(Agent& agent, const std::shared_ptr<Round>& round);
-  /// Ingests every target whose cells decode (StatsDb update, then
+  /// Records the answer's round trip in the agent's RTT histogram,
+  /// ingests every target whose cells decode (StatsDb update, then
   /// interface-module dispatch), then charges the scheduler, the backoff
   /// gauge and the round; the poll fails if any target does not decode.
-  /// `uptime` is nullopt when the answer is unusable as a whole;
-  /// `cells_of(i)` returns target i's cells, or nullopt when the answer
-  /// lacks them.
+  /// `rtt` is nullopt for an unanswered poll and `uptime` when the answer
+  /// is unusable as a whole; `cells_of(i)` returns target i's cells, or
+  /// nullopt when the answer lacks them.
   template <typename CellsOf>
   void settle_poll(Agent& agent, const Poll& poll,
+                   std::optional<SimDuration> rtt,
                    std::optional<std::uint32_t> uptime, CellsOf cells_of);
   /// Counts one launched-or-skipped agent out of its round.
   void count_out(const std::shared_ptr<Round>& round);

@@ -12,11 +12,6 @@ ViolationDetector::ViolationDetector(NetworkMonitor& monitor,
   monitor_.modules().attach(*this);
 }
 
-bool ViolationDetector::same_pair(const PathKey& a, const PathKey& b) {
-  return (a.first == b.first && a.second == b.second) ||
-         (a.first == b.second && a.second == b.first);
-}
-
 void ViolationDetector::add_requirement(const std::string& from,
                                         const std::string& to,
                                         BytesPerSecond min_available) {
@@ -31,7 +26,7 @@ void ViolationDetector::add_requirement(const std::string& from,
 void ViolationDetector::on_path_sample(const PathKey& key, SimTime time,
                                        const PathUsage& usage) {
   for (Requirement& req : requirements_) {
-    if (!same_pair(req.key, key)) continue;
+    if (!same_pair(req.key, key.first, key.second)) continue;
 
     const bool below = usage.available < req.min_available;
     const bool recovered =
@@ -67,7 +62,7 @@ void ViolationDetector::on_path_sample(const PathKey& key, SimTime time,
 bool ViolationDetector::in_violation(const std::string& from,
                                      const std::string& to) const {
   for (const Requirement& req : requirements_) {
-    if (same_pair(req.key, {from, to})) return req.violated;
+    if (same_pair(req.key, from, to)) return req.violated;
   }
   return false;
 }
@@ -84,15 +79,6 @@ std::vector<ModuleNote> ViolationDetector::notes() const {
           {"events", std::to_string(events_.size())},
           {"active_violations", std::to_string(active)}};
 }
-
-namespace {
-
-bool unordered_pair_equal(const PathKey& a, const PathKey& b) {
-  return (a.first == b.first && a.second == b.second) ||
-         (a.first == b.second && a.second == b.first);
-}
-
-}  // namespace
 
 PredictiveDetector::PredictiveDetector(NetworkMonitor& monitor,
                                        PredictiveConfig config)
@@ -127,7 +113,7 @@ void PredictiveDetector::set_path_confidence(const std::string& from,
   const double clamped =
       std::clamp(confidence, config_.confidence_floor, 1.0);
   for (Requirement& req : requirements_) {
-    if (!unordered_pair_equal(req.key, {from, to})) continue;
+    if (!same_pair(req.key, from, to)) continue;
     req.confidence = clamped;
     req.confidence_at = time;
   }
@@ -136,7 +122,7 @@ void PredictiveDetector::set_path_confidence(const std::string& from,
 double PredictiveDetector::path_confidence(const std::string& from,
                                            const std::string& to) const {
   for (const Requirement& req : requirements_) {
-    if (unordered_pair_equal(req.key, {from, to})) return req.confidence;
+    if (same_pair(req.key, from, to)) return req.confidence;
   }
   return 1.0;
 }
@@ -144,7 +130,7 @@ double PredictiveDetector::path_confidence(const std::string& from,
 void PredictiveDetector::observe(const PathKey& key, SimTime time,
                                  BytesPerSecond available) {
   for (Requirement& req : requirements_) {
-    if (!unordered_pair_equal(req.key, key)) continue;
+    if (!same_pair(req.key, key.first, key.second)) continue;
 
     req.forecaster.observe(time, available);
     // Raw slope across the confirm window (value change per second from
@@ -247,7 +233,7 @@ void PredictiveDetector::observe(const PathKey& key, SimTime time,
 bool PredictiveDetector::warning_active(const std::string& from,
                                         const std::string& to) const {
   for (const Requirement& req : requirements_) {
-    if (unordered_pair_equal(req.key, {from, to})) return req.warning;
+    if (same_pair(req.key, from, to)) return req.warning;
   }
   return false;
 }

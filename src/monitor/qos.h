@@ -73,7 +73,6 @@ class ViolationDetector : public Module {
 
   void on_path_sample(const PathKey& key, SimTime time,
                       const PathUsage& usage) override;
-  static bool same_pair(const PathKey& a, const PathKey& b);
 
   NetworkMonitor& monitor_;
   double recovery_margin_;

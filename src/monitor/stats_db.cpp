@@ -40,7 +40,6 @@ std::optional<RateSample> StatsDb::update(const InterfaceKey& key,
                     rates->total_rate());
   }
   entry.last_time = when;
-  if (when > last_update_) last_update_ = when;
   if (interfaces_gauge_ != nullptr) {
     interfaces_gauge_->set(static_cast<double>(entries_.size()));
   }

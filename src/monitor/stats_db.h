@@ -51,20 +51,14 @@ class StatsDb {
   /// Number of interfaces tracked.
   std::size_t size() const { return entries_.size(); }
 
-  /// Monitor-side time of the most recent update of *this* interface, or
-  /// nullopt before its first sample. This is the query path reports use:
-  /// the db-global last_update() below cannot distinguish a stale agent
-  /// behind a fresh one.
+  /// Monitor-side time of the most recent update of this interface, or
+  /// nullopt before its first sample.
   std::optional<SimTime> last_update(const InterfaceKey& key) const;
 
   /// Age of the interface's latest sample at `now`; nullopt before the
   /// first sample.
   std::optional<SimDuration> sample_age(const InterfaceKey& key,
                                         SimTime now) const;
-
-  /// Monitor-side time of the most recent update anywhere (0 if none).
-  /// Only says "the db is alive" — use last_update(key) for staleness.
-  SimTime last_update() const { return last_update_; }
 
  private:
   struct Entry {
@@ -76,7 +70,6 @@ class StatsDb {
 
   std::map<InterfaceKey, Entry> entries_;
   hist::HistoryStore history_;
-  SimTime last_update_ = 0;
 
   obs::Counter* updates_ = nullptr;
   obs::Counter* counter_wraps_ = nullptr;

@@ -6,22 +6,15 @@
 
 namespace netqos::probe {
 
-namespace {
-
-bool unordered_pair_equal(const mon::PathKey& key, const ProbedPath& path) {
-  return (key.first == path.from && key.second == path.to) ||
-         (key.first == path.to && key.second == path.from);
-}
-
-}  // namespace
-
 HybridEstimator::HybridEstimator(HybridConfig config)
     : mon::Module("probe.hybrid"), config_(config) {}
 
 void HybridEstimator::on_path_sample(const mon::PathKey& key, SimTime time,
                                      const mon::PathUsage& usage) {
   if (estimator_ == nullptr) return;
-  if (!unordered_pair_equal(key, estimator_->path())) return;
+  if (!mon::same_pair(key, estimator_->path().from, estimator_->path().to)) {
+    return;
+  }
   if (estimator_->convergence() == Convergence::kWarmup) return;
 
   const auto& estimates = estimator_->estimates();

@@ -20,6 +20,21 @@ bool is_estimator_name(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
+std::vector<std::string> estimator_names(const std::string& list) {
+  if (list == "all") return available_estimators();
+  std::vector<std::string> names;
+  std::string item;
+  for (const char c : list + ",") {
+    if (c == ',') {
+      if (!item.empty()) names.push_back(item);
+      item.clear();
+    } else {
+      item += c;
+    }
+  }
+  return names;
+}
+
 std::unique_ptr<Estimator> make_estimator(const std::string& name,
                                           sim::Host& source,
                                           sim::Ipv4Address target,

@@ -1,5 +1,5 @@
 // Estimator factory: the one list of active-probing methods, shared by
-// netqosmon's --probe flag, the shootout experiment, and tests.
+// the CLIs' --probe lists, the shootout experiment, and tests.
 #pragma once
 
 #include <memory>
@@ -15,6 +15,11 @@ const std::vector<std::string>& available_estimators();
 
 /// True when `name` is a known estimator name.
 bool is_estimator_name(const std::string& name);
+
+/// A --probe list as names: "all" is every estimator in canonical
+/// order, anything else splits at commas, empty items dropped. Names are
+/// not checked here; make_estimator rejects an unknown one.
+std::vector<std::string> estimator_names(const std::string& list);
 
 /// Builds the named estimator with its default configuration. Throws
 /// std::invalid_argument for an unknown name.

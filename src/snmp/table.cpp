@@ -72,6 +72,7 @@ void TablePoller::step() {
 }
 
 void TablePoller::on_response(SnmpResult response) {
+  result_.rtt = response.rtt;
   if (!response.ok()) {
     if (response.status == SnmpResult::Status::kErrorResponse) {
       fail(std::string("agent error: ") +

@@ -59,6 +59,7 @@ struct TableResult {
   std::vector<Row> rows;
 
   int requests = 0;  ///< GETBULK round trips consumed
+  SimDuration rtt = 0;  ///< the last request's round trip (SnmpResult::rtt)
 
   /// True when every requested column of row `i` arrived.
   bool complete_row(std::size_t i, std::size_t columns) const {

@@ -136,7 +136,8 @@ TEST(ApplicationGroup, MessagesLostDuringOutageAreCounted) {
 }
 
 TEST(ApplicationGroup, ClosedLoopRecoversDeadlines) {
-  // The closed_loop_demo scenario, assertion-backed.
+  // The full DeSiDeRaTa loop: congestion on the hub raises a QoS
+  // violation, and the callback relocates the tracker to a switched host.
   exp::LirtssTestbed bed;
   ApplicationGroup group(bed.simulator());
   group.deploy("sensor", bed.host("S1"));

@@ -59,6 +59,42 @@ TEST(PredictiveDetector, NoFalseWarningsOnSteadyLoad) {
   EXPECT_TRUE(predictive.events().empty());
 }
 
+TEST(PredictiveDetector, StaircaseWarningLeadsViolationBySixteenSeconds) {
+  // EXPERIMENTS.md's lead-time row: both of the spec's requirements on
+  // both detectors, and a staircase into the hub that crosses S1<->N1's
+  // 500 KB/s on its 800 KB/s step.
+  exp::LirtssTestbed bed;
+  ViolationDetector reactive(bed.monitor());
+  PredictiveDetector predictive(bed.monitor());
+  for (const auto& req : bed.specfile().qos) {
+    const BytesPerSecond required = to_bytes_per_second(req.min_available_bps);
+    reactive.add_requirement(req.from, req.to, required);
+    predictive.add_requirement(req.from, req.to, required);
+  }
+  load::RateProfile profile;
+  profile.add_step(seconds(10), kilobytes_per_second(200));
+  profile.add_step(seconds(30), kilobytes_per_second(500));
+  profile.add_step(seconds(50), kilobytes_per_second(800));
+  profile.add_step(seconds(70), kilobytes_per_second(1000));
+  profile.add_step(seconds(90), 0.0);
+  bed.add_load("L", "N1", profile);
+  bed.run_until(seconds(120));
+
+  // Rounds run every 2 s from just after the ifTable walks, so the
+  // round starting within 0.1 s of t names the poll.
+  ASSERT_FALSE(predictive.events().empty());
+  const PredictiveEvent& warning = predictive.events().front();
+  EXPECT_EQ(warning.kind, PredictiveEvent::Kind::kEarlyWarning);
+  EXPECT_EQ(warning.path, PathKey("S1", "N1"));
+  EXPECT_NEAR(to_seconds(warning.time), 38.0, 0.1);
+  ASSERT_FALSE(reactive.events().empty());
+  const QosEvent& violation = reactive.events().front();
+  EXPECT_EQ(violation.kind, QosEvent::Kind::kViolation);
+  EXPECT_EQ(violation.path, PathKey("S1", "N1"));
+  EXPECT_NEAR(to_seconds(violation.time), 54.0, 0.1);
+  EXPECT_EQ(violation.time - warning.time, 16 * kSecond);  // 8 polls
+}
+
 // ------------------------------------------------------------------
 // Golden tests: synthetic step/ramp/steady series driven through the
 // same observe() entry point the monitor callback uses, with the 2 s

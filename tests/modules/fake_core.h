@@ -25,8 +25,10 @@ class FakeCore : public ModuleCore {
     return watched_;
   }
   SimDuration poll_interval() const override { return 2 * kSecond; }
-  SimDuration stale_after() const override { return 6 * kSecond; }
-  bool connection_down(std::size_t) const override { return false; }
+  PathUsage evaluate_path(const topo::Path& path,
+                          SimTime now) const override {
+    return calculator_.path_usage(path, db_, now, 6 * kSecond);
+  }
   const std::string& station() const override { return station_; }
 
   void emit_path_sample(const PathKey& key, SimTime time,

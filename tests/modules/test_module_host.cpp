@@ -154,6 +154,14 @@ TEST(ModuleRegistry, ParsesModuleLists) {
   EXPECT_TRUE(make_modules("").empty());
   EXPECT_EQ(make_modules(",top-talkers,").size(), 1u);
   EXPECT_THROW(make_modules("ewma-anomaly,bogus"), std::invalid_argument);
+
+  // "all" is every module, in listing order; only as the whole list.
+  const auto all = make_modules("all");
+  ASSERT_EQ(all.size(), available_modules().size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i]->name(), available_modules()[i].name);
+  }
+  EXPECT_THROW(make_modules("top-talkers,all"), std::invalid_argument);
 }
 
 }  // namespace

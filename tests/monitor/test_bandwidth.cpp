@@ -170,7 +170,8 @@ TEST(StatsDbBasics, UpdateAndSeries) {
   EXPECT_EQ(series->at(0).start, seconds(2));
   EXPECT_DOUBLE_EQ(series->at(0).last, 1000.0);
   EXPECT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.last_update(), seconds(2));
+  ASSERT_TRUE(db.last_update(key).has_value());
+  EXPECT_EQ(*db.last_update(key), seconds(2));
 }
 
 TEST(StatsDbBasics, ZeroTickUpdateKeepsPreviousRate) {

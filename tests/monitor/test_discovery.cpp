@@ -4,15 +4,18 @@
 
 #include "experiments/lirtss.h"
 #include "spec/writer.h"
+#include "topology/diff.h"
 #include "topology/path.h"
 
 namespace netqos::mon {
 namespace {
 
-/// Primes switch learning: every SNMP-capable host plus the agentless
-/// ones exchange a little traffic so FDBs are populated.
-void prime_traffic(exp::LirtssTestbed& bed) {
-  const char* hosts[] = {"L", "S1", "S2", "S3", "N1", "N2"};
+/// Primes switch learning: each host exchanges a little traffic with L
+/// so FDBs are populated (by default every SNMP-capable host plus the
+/// agentless S3).
+void prime_traffic(exp::LirtssTestbed& bed,
+                   std::initializer_list<const char*> hosts = {
+                       "L", "S1", "S2", "S3", "N1", "N2"}) {
   for (const char* name : hosts) {
     sim::Host& h = bed.host(name);
     const auto sport = h.udp().allocate_ephemeral_port();
@@ -129,6 +132,49 @@ TEST_F(DiscoveryFixture, DiscoveredTopologyIsWritable) {
   const std::string text = spec::write_spec(file);
   EXPECT_NE(text.find("switch sw0"), std::string::npos);
   EXPECT_NE(text.find("hub"), std::string::npos);
+}
+
+TEST(DiscoveryHybridCheck, SpecDiffListsOnlyWhatSnmpCannotSee) {
+  // The hybrid approach: discover from every SNMP address (S3's too,
+  // which runs no agent) and diff against the configured spec. The
+  // agentless S3-S6 surface only as placeholders, and the real hub0 only
+  // under a synthesized name, so they and their connections differ;
+  // everything else matches.
+  exp::LirtssTestbed bed;
+  prime_traffic(bed, {"L", "S1", "S2", "S3", "S6", "N1", "N2"});
+  snmp::SnmpClient client(bed.simulator(), bed.host("L").udp());
+  TopologyDiscovery discovery(client);
+  std::vector<DiscoveryTarget> targets;
+  for (const char* ip : {"10.0.0.1", "10.0.0.11", "10.0.0.12", "10.0.0.21",
+                         "10.0.0.22", "10.0.0.100", "10.0.0.13"}) {
+    targets.push_back({sim::Ipv4Address::parse(ip), "public"});
+  }
+  std::optional<DiscoveryResult> result;
+  discovery.run(targets, [&](DiscoveryResult r) { result = std::move(r); });
+  bed.simulator().run_until(seconds(120));
+  ASSERT_TRUE(result.has_value());
+
+  std::vector<std::string> differences;
+  for (const auto& diff :
+       topo::diff_topologies(bed.topology(), result->topology)) {
+    differences.push_back(std::string(topo::difference_kind_name(diff.kind)) +
+                          ": " + diff.description);
+  }
+  const std::vector<std::string> expected = {
+      "missing-node: node 'S3' (host) was not discovered",
+      "missing-node: node 'S4' (host) was not discovered",
+      "missing-node: node 'S5' (host) was not discovered",
+      "missing-node: node 'S6' (host) was not discovered",
+      "missing-node: node 'hub0' (hub) was not discovered",
+      "missing-connection: connection S3.hme0 <-> sw0.p4 was not discovered",
+      "missing-connection: connection S4.hme0 <-> sw0.p5 was not discovered",
+      "missing-connection: connection S5.hme0 <-> sw0.p6 was not discovered",
+      "missing-connection: connection S6.hme0 <-> sw0.p7 was not discovered",
+      "missing-connection: connection hub0.h1 <-> sw0.p8 was not discovered",
+      "missing-connection: connection N1.e0 <-> hub0.h2 was not discovered",
+      "missing-connection: connection N2.e0 <-> hub0.h3 was not discovered",
+  };
+  EXPECT_EQ(differences, expected);
 }
 
 TEST_F(DiscoveryFixture, RejectsConcurrentRuns) {

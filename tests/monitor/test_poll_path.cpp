@@ -1,7 +1,8 @@
 // The monitor's ingest rule, under both fetch strategies (per-interface
 // GET and whole-table GETBULK): an interface whose counter cells do not
 // decode is dropped and fails the poll, while every other interface the
-// same answer carries is still ingested.
+// same answer carries is still ingested. Either way, each answered poll
+// records one round trip in the agent's RTT histogram.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +54,19 @@ TEST_P(PollPathIngest, OneUndecodableCellCostsOnlyItsOwnInterface) {
   EXPECT_GT(monitor.stats().agent_poll_failures, 0u);
   // Agentless S4 is measured only at sw0.p5.
   EXPECT_TRUE(monitor.current_usage("S1", "S4").complete);
+
+  // Let the last round's answers in: then every launched poll has been
+  // answered (none timed out), and each left one observation.
+  monitor.stop();
+  bed.simulator().run_until(seconds(21));
+  EXPECT_EQ(monitor.client_stats().timeouts, 0u);
+  const PollScheduler::AgentState* state = monitor.scheduler().find("sw0");
+  ASSERT_NE(state, nullptr);
+  const obs::HistogramMetric* rtt = monitor.metrics().find_histogram(
+      "netqos_snmp_rtt_seconds", {{"agent", "sw0"}, {"station", "L"}});
+  ASSERT_NE(rtt, nullptr);
+  EXPECT_GT(state->polls, 0u);
+  EXPECT_EQ(rtt->data().count(), state->polls);
 }
 
 INSTANTIATE_TEST_SUITE_P(FetchStrategies, PollPathIngest,

@@ -128,6 +128,15 @@ TEST(ProbeRegistry, KnowsExactlyTheThreeMethods) {
   EXPECT_FALSE(is_estimator_name("pathchirp"));
 }
 
+TEST(ProbeRegistry, ParsesEstimatorLists) {
+  EXPECT_EQ(estimator_names("all"), available_estimators());
+  EXPECT_EQ(estimator_names(",train,,pair,"),
+            (std::vector<std::string>{"train", "pair"}));
+  EXPECT_TRUE(estimator_names("").empty());
+  // Names pass through unchecked: make_estimator rejects unknown ones.
+  EXPECT_EQ(estimator_names("bogus"), std::vector<std::string>{"bogus"});
+}
+
 TEST(ProbeRegistry, UnknownNameThrows) {
   exp::LirtssTestbed bed;
   EXPECT_THROW(make_estimator("pathchirp", bed.host("S1"),

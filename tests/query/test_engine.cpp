@@ -5,7 +5,9 @@
 
 #include "experiments/lirtss.h"
 #include "history/store.h"
+#include "monitor/failure.h"
 #include "monitor/qos.h"
+#include "netsim/link.h"
 #include "query/engine.h"
 
 namespace netqos::query {
@@ -166,6 +168,34 @@ TEST_F(QueryEngineTest, HealthAppendsProviderProbeRows) {
   EXPECT_DOUBLE_EQ(health.probes[0].available, 950'000.0);
   // The provider rows ride along without perturbing the passive rows.
   EXPECT_EQ(health.paths.size(), 2u);
+}
+
+TEST(QueryEngine, HealthCarriesTheLinkDownVerdict) {
+  // FailureAwarePaths.DownLinkZeroesAvailability's scenario: the hub
+  // uplink goes down at t=10 s and sw0's linkDown trap reaches L.
+  exp::LirtssTestbed bed;
+  mon::FailureDetector detector(bed.simulator(), bed.topology(),
+                                bed.host("L"));
+  bed.monitor().set_failure_detector(&detector);
+  bed.watch("S1", "N1");
+  bed.run_until(seconds(10));
+  bed.network().find_switch("sw0")->find_interface("p8")->link()->set_up(
+      false);
+  bed.run_until(seconds(16));
+
+  // Between rounds, the snapshot reads what the round samples read.
+  const mon::PathUsage usage = bed.monitor().current_usage("S1", "N1");
+  EXPECT_TRUE(usage.link_down);
+  EXPECT_TRUE(usage.complete);
+  EXPECT_DOUBLE_EQ(usage.available, 0.0);
+  EXPECT_TRUE(
+      bed.topology().connections()[usage.bottleneck].touches("hub0"));
+
+  const QueryEngine engine(bed.monitor());
+  const HealthResponse health = engine.health(bed.simulator().now());
+  ASSERT_EQ(health.paths.size(), 1u);
+  EXPECT_TRUE(health.paths[0].link_down);
+  EXPECT_DOUBLE_EQ(health.paths[0].available, 0.0);
 }
 
 TEST(QueryEngine, EmptyMonitorYieldsEmptyRows) {
