@@ -30,9 +30,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cli_number.h"
 #include "cli_probes.h"
 #include "experiments/lirtss.h"
 #include "monitor/modules/registry.h"
@@ -54,6 +56,38 @@ struct Options {
   std::string modules;    // `modules` command: names to enable, ""=all
   std::string probe = "all";  // `probes` command: estimator names
 };
+
+/// A UDP load a command drives: `rate` from `start` until `end_share`
+/// of the run.
+struct Pulse {
+  const char* from;
+  const char* to;
+  SimTime start;
+  double end_share;
+  BytesPerSecond rate;
+};
+
+// `watch` pushes the hub segment into violation: 800 KB/s toward N1
+// leaves < 500 KB/s available on the 10 Mbps segment, crossing the
+// S1 <-> N1 requirement; the load ends at 70% of the run so recovery
+// events arrive too.
+constexpr Pulse kWatchPulses[] = {{"S2", "N1", 8 * kSecond, 0.7, 800'000.0}};
+// The other commands drive fig5-style pulses so the history has shape.
+constexpr Pulse kQueryPulses[] = {
+    {"S1", "N1", 5 * kSecond, 0.6, 200'000.0},
+    {"S1", "S2", 10 * kSecond, 0.8, 400'000.0}};
+
+std::span<const Pulse> pulses_of(const std::string& command) {
+  if (command == "watch") return kWatchPulses;
+  return kQueryPulses;
+}
+
+/// `pulse` over a run of `run_seconds`, which parse_args has checked is
+/// long enough for the pulse to end no earlier than it starts.
+load::RateProfile pulse_profile(const Pulse& pulse, double run_seconds) {
+  return load::RateProfile::pulse(
+      pulse.start, from_seconds(run_seconds * pulse.end_share), pulse.rate);
+}
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -85,6 +119,12 @@ Options parse_args(int argc, char** argv) {
       }
       return argv[i];
     };
+    // A number: the whole token, finite and in [min, max].
+    auto number = [&](const char* what, double min, double max) {
+      const auto value = cli::parse_number(what, next(what), min, max);
+      if (!value.has_value()) usage(argv[0]);
+      return *value;
+    };
     if (arg == "--group") {
       const std::string group = next("--group");
       if (group == "if") {
@@ -100,14 +140,25 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--select") {
       options.selector = next("--select");
     } else if (arg == "--last") {
-      options.last_s = std::atof(next("--last").c_str());
+      options.last_s = number("--last", 0, cli::kMaxFlagSeconds);
     } else if (arg == "--modules") {
       options.modules = next("--modules");
     } else if (arg == "--probe") {
       options.probe = next("--probe");
     } else if (arg == "--seconds") {
-      options.seconds = std::atof(next("--seconds").c_str());
+      options.seconds = number("--seconds", 0, cli::kMaxFlagSeconds);
     } else {
+      usage(argv[0]);
+    }
+  }
+  // Every load pulse must end no earlier than it starts.
+  for (const Pulse& pulse : pulses_of(options.command)) {
+    if (from_seconds(options.seconds * pulse.end_share) < pulse.start) {
+      std::fprintf(stderr,
+                   "--seconds %g is too short: %s's %s->%s load starts at "
+                   "%gs and ends at %g x --seconds\n",
+                   options.seconds, options.command.c_str(), pulse.from,
+                   pulse.to, to_seconds(pulse.start), pulse.end_share);
       usage(argv[0]);
     }
   }
@@ -274,10 +325,7 @@ int main(int argc, char** argv) {
                             testbed.host("L").ip());
 
   if (options.command == "watch") {
-    // Subscribe right away, then push the hub segment into violation:
-    // 800 KB/s toward N1 leaves < 500 KB/s available on the 10 Mbps
-    // segment, crossing the S1 <-> N1 requirement; the load ends at 70%
-    // of the run so recovery events arrive too.
+    // Subscribe right away, then push the hub segment into violation.
     simulator.schedule_at(seconds(1), [&] {
       client.subscribe([&simulator](query::QueryResult result) {
         std::printf("t=%5.1fs subscribed: %s\n", to_seconds(simulator.now()),
@@ -297,11 +345,10 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     });
-    testbed.add_load("S2", "N1",
-                     load::RateProfile::pulse(seconds(8),
-                                              from_seconds(options.seconds *
-                                                           0.7),
-                                              800'000.0));
+    for (const Pulse& pulse : kWatchPulses) {
+      testbed.add_load(pulse.from, pulse.to,
+                       pulse_profile(pulse, options.seconds));
+    }
     testbed.run_until(from_seconds(options.seconds));
     std::printf("watched %llu events over %.0fs\n",
                 static_cast<unsigned long long>(
@@ -310,19 +357,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // query / health: drive fig5-style pulses so the history has shape,
-  // run most of the clock out, then issue the request and run the tail
-  // so the response can cross the network.
-  testbed.add_load("S1", "N1",
-                   load::RateProfile::pulse(seconds(5),
-                                            from_seconds(options.seconds *
-                                                         0.6),
-                                            200'000.0));
-  testbed.add_load("S1", "S2",
-                   load::RateProfile::pulse(seconds(10),
-                                            from_seconds(options.seconds *
-                                                         0.8),
-                                            400'000.0));
+  // query / health: drive the pulses, run most of the clock out, then
+  // issue the request and run the tail so the response can cross the
+  // network.
+  for (const Pulse& pulse : kQueryPulses) {
+    testbed.add_load(pulse.from, pulse.to,
+                     pulse_profile(pulse, options.seconds));
+  }
 
   bool answered = false;
   simulator.schedule_at(from_seconds(options.seconds) - seconds(2), [&] {

@@ -21,10 +21,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_number.h"
 #include "cli_probes.h"
 #include "common/log.h"
 #include "experiments/lirtss.h"
@@ -56,7 +59,7 @@ struct Options {
   std::vector<LoadSpec> loads;
   double seconds_to_run = 60;
   double poll_ms = 2000;
-  double backoff_base = 2.0;  // <= 1 disables adaptive backoff
+  double backoff_base = 2.0;  // 1 disables adaptive backoff
   double backoff_cap_ms = 0;  // 0 = 8 * poll interval
   double stagger_ms = 0;      // per-agent launch phase within a round
   std::string metrics_out;  // Prometheus text exposition, empty = off
@@ -90,6 +93,13 @@ struct Options {
   std::exit(2);
 }
 
+/// A configuration the library refused (std::invalid_argument): the
+/// reason, then the usage text and exit status 2.
+[[noreturn]] void reject(const char* argv0, const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  usage(argv0);
+}
+
 Options parse_args(int argc, char** argv) {
   Options options;
   std::vector<std::string> positional;
@@ -102,23 +112,33 @@ Options parse_args(int argc, char** argv) {
       }
       return argv[i];
     };
+    // A number: the whole token, finite and in [min, max]. Times must
+    // also fit the simulated clock; the monitor judges the rest.
+    auto number = [&](const char* what, double min, double max) {
+      const auto value = cli::parse_number(what, next(what), min, max);
+      if (!value.has_value()) usage(argv[0]);
+      return *value;
+    };
+    constexpr double kMaxSeconds = cli::kMaxFlagSeconds;
+    constexpr double kMaxMs = cli::kMaxFlagSeconds * 1000.0;
+    constexpr double kAny = std::numeric_limits<double>::max();
     if (arg == "--seconds") {
-      options.seconds_to_run = std::atof(next("--seconds").c_str());
+      options.seconds_to_run = number("--seconds", 0, kMaxSeconds);
     } else if (arg == "--poll") {
-      options.poll_ms = std::atof(next("--poll").c_str());
+      options.poll_ms = number("--poll", 0, kMaxMs);
     } else if (arg == "--backoff-base") {
-      options.backoff_base = std::atof(next("--backoff-base").c_str());
+      options.backoff_base = number("--backoff-base", -kAny, kAny);
     } else if (arg == "--backoff-cap") {
-      options.backoff_cap_ms = std::atof(next("--backoff-cap").c_str());
+      options.backoff_cap_ms = number("--backoff-cap", 0, kMaxMs);
     } else if (arg == "--stagger") {
-      options.stagger_ms = std::atof(next("--stagger").c_str());
+      options.stagger_ms = number("--stagger", 0, kMaxMs);
     } else if (arg == "--load") {
       LoadSpec load;
       load.src = next("--load SRC");
       load.dst = next("--load DST");
-      load.kbps = std::atof(next("--load KBPS").c_str());
-      load.start_s = std::atof(next("--load START").c_str());
-      load.end_s = std::atof(next("--load END").c_str());
+      load.kbps = number("--load KBPS", 0, kAny);
+      load.start_s = number("--load START", 0, kMaxSeconds);
+      load.end_s = number("--load END", 0, kMaxSeconds);
       options.loads.push_back(std::move(load));
     } else if (arg == "--metrics-out") {
       options.metrics_out = next("--metrics-out");
@@ -128,10 +148,10 @@ Options parse_args(int argc, char** argv) {
       options.metrics_jsonl = next("--metrics-jsonl");
     } else if (arg == "--history-retention") {
       options.history_retention_s =
-          std::atof(next("--history-retention").c_str());
+          number("--history-retention", 0, kMaxSeconds);
     } else if (arg == "--forecast-horizon") {
       options.forecast_horizon_s =
-          std::atof(next("--forecast-horizon").c_str());
+          number("--forecast-horizon", 0, kMaxSeconds);
     } else if (arg == "--serve") {
       options.serve = true;
     } else if (arg == "--modules") {
@@ -219,12 +239,20 @@ int main(int argc, char** argv) {
   config.scheduler.stagger = from_seconds(options.stagger_ms / 1000.0);
   config.metrics = &registry;
   if (!options.trace_out.empty()) config.spans = &spans;
-  if (options.history_retention_s > 0) {
-    config.retention = hist::RetentionPolicy::for_span(
-        from_seconds(options.history_retention_s), config.poll_interval);
+  // The monitor (and the retention policy) refuse what they cannot run
+  // with, such as a poll interval that rounds to 0 ns.
+  std::unique_ptr<mon::NetworkMonitor> owned_monitor;
+  try {
+    if (options.history_retention_s > 0) {
+      config.retention = hist::RetentionPolicy::for_span(
+          from_seconds(options.history_retention_s), config.poll_interval);
+    }
+    owned_monitor = std::make_unique<mon::NetworkMonitor>(
+        simulator, specfile.topology, *station, config);
+  } catch (const std::invalid_argument& e) {
+    reject(argv[0], e);
   }
-  mon::NetworkMonitor monitor(simulator, specfile.topology, *station,
-                              config);
+  mon::NetworkMonitor& monitor = *owned_monitor;
 
   // Paths: CLI pairs, else the spec's qos block, else fail.
   auto pairs = options.pairs;
@@ -376,11 +404,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: unknown load host\n");
       return 1;
     }
-    generators.push_back(std::make_unique<load::LoadGenerator>(
-        simulator, *src, dst->ip(),
-        load::RateProfile::pulse(from_seconds(load_spec.start_s),
-                                 from_seconds(load_spec.end_s),
-                                 load_spec.kbps * 1000.0)));
+    try {
+      generators.push_back(std::make_unique<load::LoadGenerator>(
+          simulator, *src, dst->ip(),
+          load::RateProfile::pulse(from_seconds(load_spec.start_s),
+                                   from_seconds(load_spec.end_s),
+                                   load_spec.kbps * 1000.0)));
+    } catch (const std::invalid_argument& e) {
+      reject(argv[0], e);  // END before START, or an unpaceable rate
+    }
     generators.back()->start();
   }
   std::unique_ptr<sim::BackgroundTraffic> background;

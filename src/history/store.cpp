@@ -201,7 +201,11 @@ Series& HistoryStore::series(const std::string& key) {
 }
 
 void HistoryStore::append(const std::string& key, SimTime t, double v) {
-  const Series::AppendOutcome outcome = series(key).add(t, v);
+  append(series(key), t, v);
+}
+
+void HistoryStore::append(Series& series, SimTime t, double v) {
+  const Series::AppendOutcome outcome = series.add(t, v);
   if (samples_ != nullptr) {
     samples_->inc();
     merges_->inc(outcome.merges);

@@ -119,6 +119,14 @@ class HistoryStore {
 
   void append(const std::string& key, SimTime t, double v);
 
+  /// The series under `key`, made (and counted in the series gauges) on
+  /// first use. The reference stays valid for the store's lifetime, so a
+  /// writer can resolve its series once and append through the handle.
+  Series& series(const std::string& key);
+  /// Appends to a series of this store, counted like the keyed append,
+  /// without building or looking up a key.
+  void append(Series& series, SimTime t, double v);
+
   /// Series lookup; nullptr when the key has never been appended to.
   const Series* find(std::string_view key) const;
 
@@ -154,8 +162,6 @@ class HistoryStore {
   const RetentionPolicy& policy() const { return policy_; }
 
  private:
-  Series& series(const std::string& key);
-
   RetentionPolicy policy_;
   std::map<std::string, Series, std::less<>> series_;
 

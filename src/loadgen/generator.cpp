@@ -1,5 +1,6 @@
 #include "loadgen/generator.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace netqos::load {
@@ -15,6 +16,19 @@ LoadGenerator::LoadGenerator(sim::Simulator& sim, sim::Host& source,
   if (config_.payload_bytes == 0 ||
       config_.payload_bytes > sim::kMaxUdpPayloadBytes) {
     throw std::invalid_argument("payload must be 1..1472 bytes");
+  }
+  // Datagrams are paced payload/rate seconds apart: a nonzero rate must
+  // make that gap at least 1 ns (or the clock never advances) and small
+  // enough for the clock to hold.
+  const double min_gap = to_seconds(kNanosecond);
+  const double max_gap =
+      to_seconds(std::numeric_limits<SimTime>::max() / 2);
+  for (const RateStep& step : profile_.steps()) {
+    if (step.rate == 0.0) continue;
+    const double gap = static_cast<double>(config_.payload_bytes) / step.rate;
+    if (!(gap >= min_gap && gap <= max_gap)) {
+      throw std::invalid_argument("load rate cannot be paced");
+    }
   }
   src_port_ = source_.udp().allocate_ephemeral_port();
 }

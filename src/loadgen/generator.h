@@ -23,6 +23,9 @@ struct GeneratorConfig {
 
 class LoadGenerator {
  public:
+  /// Throws std::invalid_argument for a payload outside 1..1472 bytes, or
+  /// a profile rate it cannot pace: datagrams less than 1 ns apart, or
+  /// further apart than the clock can hold.
   LoadGenerator(sim::Simulator& sim, sim::Host& source,
                 sim::Ipv4Address destination, RateProfile profile,
                 GeneratorConfig config = {});

@@ -22,7 +22,7 @@ std::optional<BytesPerSecond> BandwidthCalculator::connection_traffic(
     std::size_t conn, const StatsDb& db) const {
   const auto& point = plan_.measurement_for(conn);
   if (!point.has_value()) return std::nullopt;
-  const auto rate = db.latest_rate({point->node, point->interface});
+  const auto rate = db.latest_rate(point->id);
   if (!rate.has_value()) return std::nullopt;
   return rate->total_rate();
 }
@@ -63,7 +63,7 @@ ConnectionUsage BandwidthCalculator::connection_usage(
 
   if (const auto& point = plan_.measurement_for(conn)) {
     usage.via_switch = point->via_switch;
-    if (const auto rate = db.latest_rate({point->node, point->interface})) {
+    if (const auto rate = db.latest_rate(point->id)) {
       usage.discard_rate = rate->discard_rate;
     }
   }
@@ -111,21 +111,28 @@ PathUsage BandwidthCalculator::path_usage(const topo::Path& path,
                                           const StatsDb& db, SimTime now,
                                           SimDuration stale_after) const {
   PathUsage result = path_usage(path, db);
-  for (ConnectionUsage& usage : result.connections) {
-    const auto& point = plan_.measurement_for(usage.connection);
+  apply_staleness(result, db, now, stale_after);
+  return result;
+}
+
+void BandwidthCalculator::apply_staleness(PathUsage& usage,
+                                          const StatsDb& db, SimTime now,
+                                          SimDuration stale_after) const {
+  usage.max_sample_age = 0;
+  for (ConnectionUsage& connection : usage.connections) {
+    const auto& point = plan_.measurement_for(connection.connection);
     if (!point.has_value()) continue;
-    usage.sample_age = db.sample_age({point->node, point->interface}, now);
-    if (usage.sample_age.has_value() &&
-        *usage.sample_age > result.max_sample_age) {
-      result.max_sample_age = *usage.sample_age;
+    connection.sample_age = db.sample_age(point->id, now);
+    if (connection.sample_age.has_value() &&
+        *connection.sample_age > usage.max_sample_age) {
+      usage.max_sample_age = *connection.sample_age;
     }
   }
   // kFresh requires a complete measurement inside the bound; anything
   // less is reported kStale so consumers never trust silently-old data.
   const bool all_young =
-      result.complete && result.max_sample_age <= stale_after;
-  result.freshness = all_young ? Freshness::kFresh : Freshness::kStale;
-  return result;
+      usage.complete && usage.max_sample_age <= stale_after;
+  usage.freshness = all_young ? Freshness::kFresh : Freshness::kStale;
 }
 
 }  // namespace netqos::mon

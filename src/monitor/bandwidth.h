@@ -84,6 +84,13 @@ class BandwidthCalculator {
   PathUsage path_usage(const topo::Path& path, const StatsDb& db,
                        SimTime now, SimDuration stale_after) const;
 
+  /// The staleness step of the overload above, applied to a result of the
+  /// 2-argument path_usage: sets each measured connection's sample age at
+  /// `now`, the largest age, and the freshness verdict. A caller holding
+  /// the 2-argument result can re-age it without re-evaluating the rules.
+  void apply_staleness(PathUsage& usage, const StatsDb& db, SimTime now,
+                       SimDuration stale_after) const;
+
  private:
   /// t_i: measured traffic (in+out bytes/s) of one connection, if its
   /// measure point has produced a rate.

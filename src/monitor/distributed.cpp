@@ -37,7 +37,7 @@ DistributedMonitor::DistributedMonitor(sim::Simulator& sim,
   for (const AgentTask& task : plan.agents()) {
     plan_order_.push_back(task.node);
     // An agent with no planned interfaces still costs a poll slot.
-    weight_[task.node] = std::max<std::size_t>(1, task.interfaces.size());
+    weight_[task.node] = std::max<std::size_t>(1, task.points.size());
   }
 
   // With handoff on, a station's own agent goes to the *next* shard:

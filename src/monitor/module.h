@@ -48,7 +48,9 @@ inline bool same_pair(const PathKey& key, const std::string& a,
 }
 
 /// One registered path as modules see it. `path` points into the core's
-/// registry and stays valid for the core's lifetime.
+/// registry and stays valid for the core's lifetime. The core's hooks
+/// name a path by its index in watched_paths(), which is registration
+/// order.
 struct WatchedPath {
   PathKey key;
   const topo::Path* path = nullptr;
@@ -68,17 +70,17 @@ class ModuleCore {
   virtual const BandwidthCalculator& calculator() const = 0;
   virtual const std::vector<WatchedPath>& watched_paths() const = 0;
   virtual SimDuration poll_interval() const = 0;
-  /// The path's usage at `now`: the calculator's hub/switch rules and
-  /// staleness bound, then trap-driven link state (a downed connection
-  /// reads as zero available, with `link_down` set).
-  virtual PathUsage evaluate_path(const topo::Path& path,
-                                  SimTime now) const = 0;
+  /// Watched path `path`'s usage at `now`: the calculator's hub/switch
+  /// rules and staleness bound, then trap-driven link state (a downed
+  /// connection reads as zero available, with `link_down` set).
+  virtual PathUsage evaluate_path(std::size_t path, SimTime now) const = 0;
   virtual const std::string& station() const = 0;
 
   // Emission hooks, meaningful during the produce phase. The core routes
-  // a path sample to history storage and then to every module in
-  // registration order; a connection sample goes to history only.
-  virtual void emit_path_sample(const PathKey& key, SimTime time,
+  // a sample of watched path `path` to history storage and then to every
+  // module in registration order; a connection sample goes to history
+  // only.
+  virtual void emit_path_sample(std::size_t path, SimTime time,
                                 const PathUsage& usage) = 0;
   virtual void emit_connection_sample(std::size_t connection, SimTime time,
                                       BytesPerSecond used) = 0;

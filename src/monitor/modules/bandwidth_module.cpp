@@ -1,21 +1,23 @@
 #include "monitor/modules/bandwidth_module.h"
 
-#include <set>
-
-#include "history/store.h"
+#include <algorithm>
 
 namespace netqos::mon {
 
 void BandwidthModule::produce(ModuleCore& core, SimTime round_start) {
   ++rounds_;
+  const std::vector<WatchedPath>& watched = core.watched_paths();
 
   // Per-connection usage first: each connection on any watched path gets
-  // one point per round (paths may share connections).
-  std::set<std::size_t> touched;
-  for (const WatchedPath& watched : core.watched_paths()) {
-    touched.insert(watched.path->begin(), watched.path->end());
+  // one point per round (paths may share connections), in index order.
+  touched_.clear();
+  for (const WatchedPath& path : watched) {
+    touched_.insert(touched_.end(), path.path->begin(), path.path->end());
   }
-  for (std::size_t ci : touched) {
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  for (std::size_t ci : touched_) {
     const ConnectionUsage usage =
         core.calculator().connection_usage(ci, core.samples());
     if (usage.measured) {
@@ -23,15 +25,15 @@ void BandwidthModule::produce(ModuleCore& core, SimTime round_start) {
     }
   }
 
-  for (const WatchedPath& watched : core.watched_paths()) {
-    const PathUsage usage = core.evaluate_path(*watched.path, round_start);
+  for (std::size_t i = 0; i < watched.size(); ++i) {
+    const PathUsage usage = core.evaluate_path(i, round_start);
     core.observe_path_age(usage.max_sample_age);
     if (!usage.complete) {  // first round has no rates yet
       ++paths_incomplete_;
       continue;
     }
     ++paths_emitted_;
-    core.emit_path_sample(watched.key, round_start, usage);
+    core.emit_path_sample(i, round_start, usage);
   }
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "monitor/module.h"
 
@@ -28,6 +29,8 @@ class BandwidthModule final : public Module {
   std::uint64_t rounds_ = 0;
   std::uint64_t paths_emitted_ = 0;
   std::uint64_t paths_incomplete_ = 0;
+  /// The round's distinct watched connections, kept for its capacity.
+  std::vector<std::size_t> touched_;
 };
 
 }  // namespace netqos::mon

@@ -34,6 +34,18 @@ snmp::ClientConfig client_config_with_metrics(snmp::ClientConfig client,
   return client;
 }
 
+/// `config`, or std::invalid_argument naming the field a monitor cannot
+/// run with. The scheduler fields are checked by PollScheduler.
+MonitorConfig validated(MonitorConfig config) {
+  if (config.poll_interval <= 0) {
+    throw std::invalid_argument("poll interval must be positive");
+  }
+  if (config.stale_after < 0) {
+    throw std::invalid_argument("staleness bound must not be negative");
+  }
+  return config;
+}
+
 /// One interface reading's cells, one per counter_columns() entry.
 constexpr std::size_t kCounterCells = 6;
 using CounterCells = std::array<const snmp::SnmpValue*, kCounterCells>;
@@ -129,7 +141,7 @@ NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
                                MonitorConfig config)
     : sim_(sim),
       topo_(topo),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       plan_(PollPlan::build(topo)),
       own_metrics_(config_.metrics != nullptr
                        ? nullptr
@@ -144,6 +156,7 @@ NetworkMonitor::NetworkMonitor(sim::Simulator& sim,
       calculator_(topo, plan_),
       own_db_(config_.retention),
       db_(shared_db != nullptr ? shared_db : &own_db_),
+      connection_series_(topo.connections().size(), nullptr),
       history_(config_.retention),
       modules_(*this, *metrics_, station_label_) {
   init_metrics(station_label_);
@@ -308,22 +321,33 @@ void NetworkMonitor::recompute_fallbacks() {
     const auto& primary = plan_.primary_measurement_for(ci);
     if (!point.has_value()) continue;
     // Only active fallbacks need ad-hoc polling; the primary points are
-    // already in the static AgentTask interface lists.
-    if (primary.has_value() && primary->node == point->node &&
-        primary->interface == point->interface) {
-      continue;
-    }
+    // already in the static AgentTask point lists.
+    if (primary.has_value() && primary->id == point->id) continue;
     Agent* agent = polled_agent(point->node);
     if (agent == nullptr) continue;  // some other station polls this agent
-    const auto& interfaces = agent->task->interfaces;
+    const auto& points = agent->task->points;
     auto& fallbacks = agent->fallbacks;
-    if (std::find(interfaces.begin(), interfaces.end(), point->interface) ==
-            interfaces.end() &&
-        std::find(fallbacks.begin(), fallbacks.end(), point->interface) ==
+    if (std::find(points.begin(), points.end(), point->id) == points.end() &&
+        std::find(fallbacks.begin(), fallbacks.end(), point->id) ==
             fallbacks.end()) {
-      fallbacks.push_back(point->interface);
+      fallbacks.push_back(point->id);
     }
   }
+  for (auto& [node, agent] : agents_) update_targets(agent);
+}
+
+void NetworkMonitor::update_targets(Agent& agent) {
+  agent.targets.clear();
+  auto add_targets = [&](const std::vector<PointId>& points) {
+    for (const PointId id : points) {
+      if (auto it = agent.if_indexes.find(plan_.point(id).interface);
+          it != agent.if_indexes.end()) {
+        agent.targets.push_back({id, it->second});
+      }
+    }
+  };
+  add_targets(agent.task->points);
+  add_targets(agent.fallbacks);
 }
 
 void NetworkMonitor::select_agents() {
@@ -378,15 +402,17 @@ void NetworkMonitor::add_path(const std::string& from,
                                 "' and '" + to + "'");
   }
   MonitoredPath entry;
-  entry.key = {from, to};
   entry.path = std::move(*path);
+  entry.used_key = hist::path_series_key(from, to, "used");
+  entry.avail_key = hist::path_series_key(from, to, "avail");
   paths_.push_back(std::move(entry));
+  path_keys_.emplace_back(from, to);
   // Rebuild the module-facing view: the push_back may have reallocated
   // the Path storage the old views pointed into.
   watched_paths_.clear();
   watched_paths_.reserve(paths_.size());
-  for (const MonitoredPath& p : paths_) {
-    watched_paths_.push_back({p.key, &p.path});
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    watched_paths_.push_back({path_keys_[i], &paths_[i].path});
   }
 }
 
@@ -455,6 +481,7 @@ void NetworkMonitor::pump_resolve_queue() {
               agent.if_indexes[*name] = if_index;
             }
           }
+          update_targets(agent);
         }
         pump_resolve_queue();
       });
@@ -519,20 +546,10 @@ void NetworkMonitor::poll_agent(Agent& agent,
         client_, task.address, task.community, counter_columns_);
   }
 
-  // Static plan interfaces plus any §4.1 fallback ports this agent
-  // covers while a host agent is quarantined, each with its ifIndex.
+  // Static plan points plus any §4.1 fallback ports this agent covers
+  // while a host agent is quarantined, each with its ifIndex.
   Poll poll;
-  poll.targets.reserve(task.interfaces.size() + agent.fallbacks.size());
-  auto add_targets = [&](const std::vector<std::string>& names) {
-    for (const std::string& name : names) {
-      if (auto it = agent.if_indexes.find(name);
-          it != agent.if_indexes.end()) {
-        poll.targets.push_back({name, it->second});
-      }
-    }
-  };
-  add_targets(task.interfaces);
-  add_targets(agent.fallbacks);
+  poll.targets = agent.targets;
   if (poll.targets.empty()) {
     count_out(round);
     return;
@@ -620,10 +637,12 @@ void NetworkMonitor::settle_poll(Agent& agent, const Poll& poll,
       ok = false;
       continue;  // the interfaces that did decode are still ingested
     }
-    const InterfaceKey key{agent.task->node, poll.targets[i].interface};
-    if (const auto rate = db_->update(key, poll.sample_time, *sample);
+    const PointId point = poll.targets[i].point;
+    if (const auto rate =
+            db_->update(plan_.point(point), poll.sample_time, *sample);
         rate.has_value() && modules_.has_interface_consumers()) {
-      modules_.dispatch_interface_sample(key, poll.sample_time, *rate);
+      modules_.dispatch_interface_sample(plan_.point_key(point),
+                                         poll.sample_time, *rate);
     }
   }
   if (!ok) {
@@ -654,19 +673,28 @@ void NetworkMonitor::finish_round(const std::shared_ptr<Round>& round) {
   modules_.run_round(round->started);
 }
 
-void NetworkMonitor::emit_path_sample(const PathKey& key, SimTime time,
+void NetworkMonitor::emit_path_sample(std::size_t path, SimTime time,
                                       const PathUsage& usage) {
-  history_.append(hist::path_series_key(key.first, key.second, "used"), time,
-                  usage.used_at_bottleneck);
-  history_.append(hist::path_series_key(key.first, key.second, "avail"),
-                  time, usage.available);
-  modules_.dispatch_path_sample(key, time, usage);
+  MonitoredPath& entry = paths_[path];
+  if (entry.used_series == nullptr) {
+    entry.used_series = &history_.series(entry.used_key);
+  }
+  history_.append(*entry.used_series, time, usage.used_at_bottleneck);
+  if (entry.avail_series == nullptr) {
+    entry.avail_series = &history_.series(entry.avail_key);
+  }
+  history_.append(*entry.avail_series, time, usage.available);
+  modules_.dispatch_path_sample(path_keys_[path], time, usage);
 }
 
 void NetworkMonitor::emit_connection_sample(std::size_t connection,
                                             SimTime time,
                                             BytesPerSecond used) {
-  history_.append(hist::connection_series_key(connection), time, used);
+  hist::Series*& series = connection_series_.at(connection);
+  if (series == nullptr) {
+    series = &history_.series(hist::connection_series_key(connection));
+  }
+  history_.append(*series, time, used);
 }
 
 void NetworkMonitor::observe_path_age(SimDuration age) {
@@ -690,36 +718,53 @@ const TimeSeries* NetworkMonitor::connection_used_series(
   return &materialized_series(key);
 }
 
-const NetworkMonitor::MonitoredPath& NetworkMonitor::find_path_entry(
-    const std::string& from, const std::string& to) const {
-  for (const auto& entry : paths_) {
-    if (same_pair(entry.key, from, to)) return entry;
+std::size_t NetworkMonitor::path_index(const std::string& from,
+                                       const std::string& to) const {
+  for (std::size_t i = 0; i < path_keys_.size(); ++i) {
+    if (same_pair(path_keys_[i], from, to)) return i;
   }
   throw std::out_of_range("path " + from + " <-> " + to + " not monitored");
 }
 
+const std::string& NetworkMonitor::path_series_key(std::size_t path,
+                                                   PathMetric metric) const {
+  const MonitoredPath& entry = paths_.at(path);
+  return metric == PathMetric::kUsed ? entry.used_key : entry.avail_key;
+}
+
+const hist::Series* NetworkMonitor::path_series(std::size_t path,
+                                                PathMetric metric) const {
+  const MonitoredPath& entry = paths_.at(path);
+  return metric == PathMetric::kUsed ? entry.used_series
+                                     : entry.avail_series;
+}
+
 const TimeSeries& NetworkMonitor::used_series(const std::string& from,
                                               const std::string& to) const {
-  const MonitoredPath& entry = find_path_entry(from, to);
-  return materialized_series(
-      hist::path_series_key(entry.key.first, entry.key.second, "used"));
+  return materialized_series(paths_[path_index(from, to)].used_key);
 }
 
 const TimeSeries& NetworkMonitor::available_series(
     const std::string& from, const std::string& to) const {
-  const MonitoredPath& entry = find_path_entry(from, to);
-  return materialized_series(
-      hist::path_series_key(entry.key.first, entry.key.second, "avail"));
+  return materialized_series(paths_[path_index(from, to)].avail_key);
 }
 
-PathUsage NetworkMonitor::evaluate_path(const topo::Path& path,
-                                        SimTime now) const {
-  PathUsage usage =
-      calculator_.path_usage(path, *db_, now, effective_stale_after());
+PathUsage NetworkMonitor::evaluate_path(std::size_t path, SimTime now) const {
+  const MonitoredPath& entry = paths_.at(path);
+  UsageMemo& memo = entry.memo;
+  if (!memo.valid || memo.db_version != db_->version() ||
+      memo.plan_version != plan_.version()) {
+    memo.usage = calculator_.path_usage(entry.path, *db_);
+    memo.db_version = db_->version();
+    memo.plan_version = plan_.version();
+    memo.valid = true;
+  }
+  PathUsage usage = memo.usage;
+  calculator_.apply_staleness(usage, *db_, now, effective_stale_after());
   if (failure_detector_ == nullptr) return usage;
   // Trap-driven link state overrides counters: a downed connection
   // means zero availability now, however fresh the last rates look.
-  for (std::size_t ci : path) {
+  for (std::size_t ci : entry.path) {
     if (failure_detector_->connection_down(ci)) {
       usage.link_down = true;
       usage.complete = true;
@@ -733,21 +778,16 @@ PathUsage NetworkMonitor::evaluate_path(const topo::Path& path,
 
 PathUsage NetworkMonitor::current_usage(const std::string& from,
                                         const std::string& to) const {
-  return evaluate_path(find_path_entry(from, to).path, sim_.now());
+  return current_usage(path_index(from, to));
+}
+
+PathUsage NetworkMonitor::current_usage(std::size_t path) const {
+  return evaluate_path(path, sim_.now());
 }
 
 const topo::Path& NetworkMonitor::path_of(const std::string& from,
                                           const std::string& to) const {
-  return find_path_entry(from, to).path;
-}
-
-std::vector<PathKey> NetworkMonitor::monitored_paths() const {
-  std::vector<PathKey> keys;
-  keys.reserve(paths_.size());
-  for (const MonitoredPath& entry : paths_) {
-    keys.push_back(entry.key);
-  }
-  return keys;
+  return paths_[path_index(from, to)].path;
 }
 
 }  // namespace netqos::mon

@@ -36,6 +36,7 @@
 namespace netqos::mon {
 
 struct MonitorConfig {
+  /// Round cadence; must be positive.
   SimDuration poll_interval = 2 * kSecond;
   snmp::ClientConfig client = {.timeout = 500 * kMillisecond, .retries = 1};
   /// When non-empty, poll only these agent nodes. Used by the distributed
@@ -65,8 +66,8 @@ struct MonitorConfig {
   /// launch jitter, quarantine threshold). The scheduler's poll_interval
   /// is overwritten with `poll_interval` above — one cadence knob only.
   SchedulerConfig scheduler;
-  /// Sample age beyond which a path report is flagged stale.
-  /// 0 = 3 * poll_interval.
+  /// Sample age beyond which a path report is flagged stale; not
+  /// negative. 0 = 3 * poll_interval.
   SimDuration stale_after = 0;
   /// Multi-resolution retention for all history the monitor keeps (path
   /// used/available, per-connection usage, and — via its own StatsDb —
@@ -91,7 +92,9 @@ struct MonitorStats {
 class NetworkMonitor : private ModuleCore {
  public:
   /// `station` is the host the monitor runs on; all SNMP traffic leaves
-  /// through its UDP stack and therefore consumes real bandwidth.
+  /// through its UDP stack and therefore consumes real bandwidth. Throws
+  /// std::invalid_argument for a config it cannot run with (see
+  /// MonitorConfig and PollScheduler).
   NetworkMonitor(sim::Simulator& sim, const topo::NetworkTopology& topo,
                  sim::Host& station, MonitorConfig config = {});
 
@@ -104,7 +107,8 @@ class NetworkMonitor : private ModuleCore {
 
   /// Registers a host pair. The communication path is computed with the
   /// paper's recursive traversal. Throws std::invalid_argument when no
-  /// path exists.
+  /// path exists. Paths are numbered in registration order: the index of
+  /// the pair in monitored_paths().
   void add_path(const std::string& from, const std::string& to);
 
   /// Resolves ifIndexes (one ifTable walk per agent) and then begins
@@ -162,9 +166,25 @@ class NetworkMonitor : private ModuleCore {
   /// hist::path_series_key / hist::connection_series_key.
   const hist::HistoryStore& history() const { return history_; }
 
-  /// Current usage snapshot for a monitored path.
+  /// One of a monitored path's two history series.
+  enum class PathMetric { kUsed, kAvailable };
+  /// Store key of monitored path `path`'s series (hist::path_series_key),
+  /// built once by add_path.
+  const std::string& path_series_key(std::size_t path,
+                                     PathMetric metric) const;
+  /// That series, or null before this path's first sample. Appends and
+  /// reads through it neither build nor look up a key.
+  const hist::Series* path_series(std::size_t path, PathMetric metric) const;
+
+  /// Current usage snapshot for a monitored path. Bit-identical to a
+  /// fresh evaluation (the calculator's rules at now, then link state),
+  /// but answered from a per-path memo of the rules' result while neither
+  /// the StatsDb nor the plan has changed since: only the sample ages,
+  /// freshness and link state are worked out again.
   PathUsage current_usage(const std::string& from,
                           const std::string& to) const;
+  /// As above, for monitored path `path` (registration index).
+  PathUsage current_usage(std::size_t path) const;
 
   /// Attaches trap-driven link-state knowledge: paths crossing a downed
   /// connection evaluate to zero available bandwidth (with `link_down`
@@ -208,7 +228,7 @@ class NetworkMonitor : private ModuleCore {
 
   /// Host pairs registered via add_path, in registration order. The query
   /// engine enumerates these for health snapshots and path grouping.
-  std::vector<PathKey> monitored_paths() const;
+  const std::vector<PathKey>& monitored_paths() const { return path_keys_; }
 
   const PollPlan& plan() const { return plan_; }
   const StatsDb& stats_db() const { return *db_; }
@@ -244,17 +264,35 @@ class NetworkMonitor : private ModuleCore {
   SimDuration poll_interval() const override {
     return config_.poll_interval;
   }
-  PathUsage evaluate_path(const topo::Path& path,
-                          SimTime now) const override;
-  void emit_path_sample(const PathKey& key, SimTime time,
+  PathUsage evaluate_path(std::size_t path, SimTime now) const override;
+  void emit_path_sample(std::size_t path, SimTime time,
                         const PathUsage& usage) override;
   void emit_connection_sample(std::size_t connection, SimTime time,
                               BytesPerSecond used) override;
   void observe_path_age(SimDuration age) override;
 
+  /// A path's §3.3 evaluation without ages
+  /// (BandwidthCalculator::path_usage(path, db)), as of a StatsDb and a
+  /// plan version. Nothing else feeds the rules, so while both versions
+  /// are unchanged the result is the same. Refreshed from const readers:
+  /// the monitor, like the simulator driving it, is single-threaded.
+  struct UsageMemo {
+    bool valid = false;
+    std::uint64_t db_version = 0;
+    std::uint64_t plan_version = 0;
+    PathUsage usage;
+  };
+
+  /// One registered path; its host pair is path_keys_ at the same index.
   struct MonitoredPath {
-    PathKey key;
     topo::Path path;
+    /// hist::path_series_key of the used and available series.
+    std::string used_key;
+    std::string avail_key;
+    /// Those series in history_, resolved at the first append.
+    hist::Series* used_series = nullptr;
+    hist::Series* avail_series = nullptr;
+    mutable UsageMemo memo;
   };
 
   struct Round {
@@ -262,6 +300,12 @@ class NetworkMonitor : private ModuleCore {
     std::size_t outstanding = 0;
     bool failed_any = false;
     obs::SpanRecorder::SpanId span = 0;
+  };
+
+  /// One interface a poll asks for.
+  struct Target {
+    PointId point = 0;
+    std::uint32_t if_index = 0;
   };
 
   /// Everything kept per plan agent, polled here or not. Records are made
@@ -273,20 +317,17 @@ class NetworkMonitor : private ModuleCore {
     bool polled = false;  ///< listed in polled_agents_
     /// ifDescr -> ifIndex, from the agent's resolution walk.
     std::unordered_map<std::string, std::uint32_t> if_indexes;
-    /// §4.1 fallback interfaces polled on top of task->interfaces while a
+    /// §4.1 fallback points polled on top of task->points while a
     /// quarantine redirects measure points here.
-    std::vector<std::string> fallbacks;
+    std::vector<PointId> fallbacks;
+    /// What a poll asks for: task->points, then fallbacks, each point
+    /// whose ifIndex the walk resolved. Rebuilt by update_targets.
+    std::vector<Target> targets;
     /// The whole-table GETBULK collector (batch mode), made on first use.
     std::unique_ptr<snmp::TablePoller> table_poller;
     obs::HistogramMetric* rtt = nullptr;  ///< on the first answered poll
     obs::Gauge* health = nullptr;         ///< from start() or adoption
     obs::Gauge* backoff = nullptr;        ///< from start() or adoption
-  };
-
-  /// One interface a poll asks for.
-  struct Target {
-    std::string interface;  ///< ifDescr
-    std::uint32_t if_index = 0;
   };
 
   /// One agent poll in flight.
@@ -333,13 +374,17 @@ class NetworkMonitor : private ModuleCore {
   void on_health_transition(const std::string& node, AgentHealth from,
                             AgentHealth to);
   void on_link_event(const LinkEvent& event);
-  /// Rebuilds every agent's fallback interfaces from the plan's current
-  /// effective points.
+  /// Rebuilds every agent's fallback points from the plan's current
+  /// effective points, then its poll targets.
   void recompute_fallbacks();
+  /// Rebuilds the agent's poll targets from its points and ifIndexes.
+  void update_targets(Agent& agent);
   /// The record of an agent polled here, or null.
   Agent* polled_agent(const std::string& node);
-  const MonitoredPath& find_path_entry(const std::string& from,
-                                       const std::string& to) const;
+  /// Registration index of the path joining `from` and `to`, in either
+  /// order; throws std::out_of_range when not monitored.
+  std::size_t path_index(const std::string& from,
+                         const std::string& to) const;
   /// Materializes a store series into the named scratch slot, returning a
   /// reference that lives until the next materialization of that slot.
   const TimeSeries& materialized_series(const std::string& key) const;
@@ -380,6 +425,10 @@ class NetworkMonitor : private ModuleCore {
   std::unique_ptr<PollScheduler> scheduler_;
 
   std::vector<MonitoredPath> paths_;
+  std::vector<PathKey> path_keys_;  ///< by path index
+  /// Per-connection used-bandwidth series in history_, by connection
+  /// index, resolved at the first append.
+  std::vector<hist::Series*> connection_series_;
 
   bool running_ = false;
   // Agents awaiting their ifDescr resolution walk. The walker serves one

@@ -1,5 +1,6 @@
 #include "monitor/plan.h"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -38,8 +39,21 @@ PollPlan PollPlan::build(const topo::NetworkTopology& topo) {
   plan.primary_.resize(topo.connections().size());
   plan.fallback_.resize(topo.connections().size());
 
-  // node name -> interfaces that must be polled there
-  std::map<std::string, std::vector<std::string>> needed;
+  // node name -> points that must be polled there
+  std::map<std::string, std::vector<PointId>> needed;
+  // Gives a point the next id on its first appearance.
+  std::map<InterfaceKey, PointId> ids;
+  auto intern = [&](std::optional<MeasurePoint>& point) {
+    if (!point.has_value()) return;
+    const auto [it, fresh] = ids.try_emplace(
+        InterfaceKey{point->node, point->interface},
+        static_cast<PointId>(plan.points_.size()));
+    point->id = it->second;
+    if (fresh) {
+      plan.points_.push_back(*point);
+      plan.point_keys_.push_back(it->first);
+    }
+  };
 
   for (std::size_t ci = 0; ci < topo.connections().size(); ++ci) {
     const topo::Connection& conn = topo.connections()[ci];
@@ -66,37 +80,46 @@ PollPlan PollPlan::build(const topo::NetworkTopology& topo) {
       }
     }
 
+    intern(host_choice);
+    intern(switch_choice);
     const auto& chosen = host_choice.has_value() ? host_choice : switch_choice;
     plan.primary_[ci] = chosen;
     if (host_choice.has_value()) plan.fallback_[ci] = switch_choice;
     if (chosen.has_value()) {
-      needed[chosen->node].push_back(chosen->interface);
+      needed[chosen->node].push_back(chosen->id);
     } else {
       plan.unmonitorable_.push_back(ci);
     }
   }
   plan.effective_ = plan.primary_;
 
-  for (auto& [node_name, interfaces] : needed) {
+  for (auto& [node_name, points] : needed) {
     const topo::NodeSpec* node = topo.find_node(node_name);
     AgentTask task;
     task.node = node_name;
     task.address = *agent_address(*node);
     task.community = node->snmp_community;
-    // Deduplicate interfaces while keeping first-seen order.
-    for (const auto& itf : interfaces) {
-      bool seen = false;
-      for (const auto& existing : task.interfaces) {
-        if (existing == itf) {
-          seen = true;
-          break;
-        }
+    // Deduplicate points while keeping first-seen order.
+    for (const PointId id : points) {
+      if (std::find(task.points.begin(), task.points.end(), id) ==
+          task.points.end()) {
+        task.points.push_back(id);
       }
-      if (!seen) task.interfaces.push_back(itf);
     }
     plan.agents_.push_back(std::move(task));
   }
   return plan;
+}
+
+std::optional<PointId> PollPlan::find_point(
+    const std::string& node, const std::string& interface) const {
+  for (std::size_t id = 0; id < point_keys_.size(); ++id) {
+    const InterfaceKey& key = point_keys_[id];
+    if (key.first == node && key.second == interface) {
+      return static_cast<PointId>(id);
+    }
+  }
+  return std::nullopt;
 }
 
 const std::optional<MeasurePoint>& PollPlan::choose_effective(
@@ -120,14 +143,14 @@ std::vector<std::size_t> PollPlan::set_agent_quarantined(
   } else {
     quarantined_.erase(node);
   }
+  ++version_;
   std::vector<std::size_t> changed;
   for (std::size_t ci = 0; ci < effective_.size(); ++ci) {
     const auto& now_effective = choose_effective(ci);
     const auto& was = effective_[ci];
     const bool differs =
         was.has_value() != now_effective.has_value() ||
-        (was.has_value() && (was->node != now_effective->node ||
-                             was->interface != now_effective->interface));
+        (was.has_value() && was->id != now_effective->id);
     if (differs) {
       effective_[ci] = now_effective;
       changed.push_back(ci);

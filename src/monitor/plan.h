@@ -13,11 +13,19 @@
 // the switch-port measure point until the agent heals. The plan keeps
 // both candidates per connection and exposes the currently effective
 // choice through measurement_for().
+//
+// Every primary and fallback measure point gets a dense id when the plan
+// is built. The sample path (StatsDb entries, poll targets, the
+// bandwidth calculator) works on ids; names appear only where a point
+// meets the outside: the SNMP resolution walk, history store keys, and
+// measurement modules.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "netsim/address.h"
@@ -26,11 +34,20 @@
 
 namespace netqos::mon {
 
+/// (node name, ifDescr) key.
+using InterfaceKey = std::pair<std::string, std::string>;
+
+/// Dense index of a measure point. Ids are assigned in connection order,
+/// primary before fallback, so every plan built from one topology numbers
+/// its points alike: monitors sharing a StatsDb agree on every id.
+using PointId = std::uint32_t;
+
 /// Where one connection's traffic counters live.
 struct MeasurePoint {
   std::string node;        ///< agent's node name
   std::string interface;   ///< ifDescr on that agent
   bool via_switch = false; ///< true when using the §4.1 switch-port fallback
+  PointId id = 0;          ///< index in the plan's point table
 };
 
 /// One agent the poller must query each round.
@@ -38,7 +55,7 @@ struct AgentTask {
   std::string node;
   sim::Ipv4Address address;  ///< host primary IP or switch management IP
   std::string community;
-  std::vector<std::string> interfaces;  ///< ifDescr values to poll
+  std::vector<PointId> points;  ///< measure points (interfaces) to poll
 };
 
 class PollPlan {
@@ -67,11 +84,27 @@ class PollPlan {
     return fallback_.at(conn);
   }
 
+  /// Number of measure points; ids run from 0 to point_count() - 1.
+  std::size_t point_count() const { return points_.size(); }
+  const MeasurePoint& point(PointId id) const { return points_.at(id); }
+  /// The point's (node, ifDescr), as measurement modules receive it.
+  const InterfaceKey& point_key(PointId id) const {
+    return point_keys_.at(id);
+  }
+  /// The id of the point at (node, ifDescr); nullopt when the plan
+  /// measures nothing there. A linear scan, for callers holding names.
+  std::optional<PointId> find_point(const std::string& node,
+                                    const std::string& interface) const;
+
   /// Marks an agent node (un)quarantined and recomputes the effective
   /// measure points. Returns the indices of connections whose effective
   /// point changed — the caller re-targets polling for those.
   std::vector<std::size_t> set_agent_quarantined(const std::string& node,
                                                  bool quarantined);
+
+  /// Bumped by every set_agent_quarantined call. A figure derived from
+  /// the effective measure points is current while this is unchanged.
+  std::uint64_t version() const { return version_; }
 
   bool agent_quarantined(const std::string& node) const {
     return quarantined_.contains(node);
@@ -99,6 +132,9 @@ class PollPlan {
   std::vector<std::optional<MeasurePoint>> primary_;
   std::vector<std::optional<MeasurePoint>> fallback_;
   std::vector<std::optional<MeasurePoint>> effective_;
+  std::vector<MeasurePoint> points_;      ///< by id
+  std::vector<InterfaceKey> point_keys_;  ///< by id
+  std::uint64_t version_ = 0;
   std::set<std::string> quarantined_;
   std::vector<AgentTask> agents_;
   std::vector<std::size_t> unmonitorable_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -19,6 +20,18 @@ const char* agent_health_name(AgentHealth health) {
 PollScheduler::PollScheduler(SchedulerConfig config,
                              std::vector<std::string> nodes)
     : config_(config), jitter_state_(config.jitter_seed) {
+  if (config_.poll_interval <= 0) {
+    throw std::invalid_argument("poll interval must be positive");
+  }
+  if (!(config_.backoff_base >= 1.0)) {  // NaN fails too
+    throw std::invalid_argument("backoff base must be at least 1");
+  }
+  if (config_.backoff_cap != 0 &&
+      config_.backoff_cap < config_.poll_interval) {
+    throw std::invalid_argument(
+        "backoff cap must be 0 (the default) or at least the poll "
+        "interval");
+  }
   agents_.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     AgentState agent;

@@ -34,10 +34,11 @@ struct SchedulerConfig {
   SimDuration poll_interval = 2 * kSecond;
   /// Per-failure interval multiplier for unhealthy agents: after k
   /// consecutive failures the agent is next due base^k poll intervals
-  /// later. Values <= 1 disable backoff (the seed's fixed-interval
-  /// behaviour, every agent polled every round).
+  /// later. 1 disables backoff (the seed's fixed-interval behaviour,
+  /// every agent polled every round); below 1 is rejected.
   double backoff_base = 2.0;
-  /// Upper bound on the backed-off interval. 0 = 8 * poll_interval.
+  /// Upper bound on the backed-off interval, at least poll_interval.
+  /// 0 = 8 * poll_interval.
   SimDuration backoff_cap = 0;
   /// Launch-phase spacing inside a round: agent i starts i * stagger
   /// after the round begins, de-bursting the request train. 0 = the
@@ -79,6 +80,8 @@ class PollScheduler {
   using TransitionCallback =
       std::function<void(const std::string&, AgentHealth, AgentHealth)>;
 
+  /// Throws std::invalid_argument for a poll interval <= 0, a backoff
+  /// base below 1, or a nonzero backoff cap shorter than the interval.
   PollScheduler(SchedulerConfig config, std::vector<std::string> nodes);
 
   /// Registers an agent mid-run (shard ownership handoff). It joins

@@ -103,12 +103,20 @@ void QueryEngine::interface_rows(const std::string& selector, SimTime begin,
 
 void QueryEngine::path_rows(const std::string& selector, SimTime begin,
                             SimTime end, std::vector<WindowRow>& rows) const {
+  using Metric = mon::NetworkMonitor::PathMetric;
   const hist::HistoryStore& store = monitor_.history();
-  for (const auto& [from, to] : monitor_.monitored_paths()) {
-    for (const char* metric : {"used", "avail"}) {
-      const std::string key = hist::path_series_key(from, to, metric);
+  for (std::size_t path = 0; path < monitor_.monitored_paths().size();
+       ++path) {
+    for (const Metric metric : {Metric::kUsed, Metric::kAvailable}) {
+      const std::string& key = monitor_.path_series_key(path, metric);
       if (!selected(key, selector)) continue;
-      const hist::WindowSummary summary = store.query(key, begin, end);
+      // Until this path's first sample the handle is null and the keyed
+      // query answers, as it always did (a pair registered twice may
+      // already have the series).
+      const hist::Series* series = monitor_.path_series(path, metric);
+      const hist::WindowSummary summary =
+          series != nullptr ? store.query(*series, begin, end)
+                            : store.query(key, begin, end);
       if (summary.samples == 0) continue;
       rows.push_back(row_from_summary(key, summary));
     }
@@ -166,8 +174,10 @@ HealthResponse QueryEngine::health(SimTime now) const {
     response.agents.push_back(std::move(row));
   }
 
-  for (const auto& [from, to] : monitor_.monitored_paths()) {
-    const mon::PathUsage usage = monitor_.current_usage(from, to);
+  const std::vector<mon::PathKey>& paths = monitor_.monitored_paths();
+  for (std::size_t path = 0; path < paths.size(); ++path) {
+    const auto& [from, to] = paths[path];
+    const mon::PathUsage usage = monitor_.current_usage(path);
     PathHealthRow row;
     row.from = from;
     row.to = to;

@@ -12,40 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#ifndef NETQOS_SOURCE_DIR
-#define NETQOS_SOURCE_DIR ""
-#endif
+#include "cli_source.h"
 
 namespace {
 
-std::string read_file(const std::string& relative) {
-  const std::string path = std::string(NETQOS_SOURCE_DIR) + "/" + relative;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Flags the netqosmon parser actually accepts: every `arg == "--x"`
-/// comparison in parse_args. This is ground truth — the comparisons are
-/// what the binary executes.
-std::set<std::string> parser_flags(const std::string& source) {
-  std::set<std::string> flags;
-  const std::regex pattern("arg == \"(--[a-z][a-z0-9-]*)\"");
-  for (std::sregex_iterator it(source.begin(), source.end(), pattern), end;
-       it != end; ++it) {
-    flags.insert((*it)[1].str());
-  }
-  return flags;
-}
+using netqos::cli_source::parser_flags;
+using netqos::cli_source::read_file;
 
 /// Flags named in the usage() banner (the fprintf string literal).
 std::set<std::string> usage_flags(const std::string& source) {

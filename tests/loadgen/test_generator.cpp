@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "netsim/network.h"
 #include "netsim/services.h"
 #include "netsim/simulator.h"
@@ -110,6 +112,24 @@ TEST_F(GeneratorFixture, InvalidPayloadRejected) {
   EXPECT_THROW(LoadGenerator(sim, *src, dst->ip(), RateProfile{},
                              GeneratorConfig{.payload_bytes = 2000}),
                std::invalid_argument);
+}
+
+TEST_F(GeneratorFixture, UnpaceableRatesRejected) {
+  // A datagram under 1 ns apart would stop the clock; one further apart
+  // than the clock holds cannot be scheduled.
+  for (const BytesPerSecond rate :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e300, 1e-300}) {
+    EXPECT_THROW(LoadGenerator(sim, *src, dst->ip(),
+                               RateProfile::pulse(0, seconds(1), rate)),
+                 std::invalid_argument)
+        << rate;
+  }
+  // The extremes that still pace: 1472 B every 1 ns, and a silent step.
+  EXPECT_NO_THROW(LoadGenerator(sim, *src, dst->ip(),
+                                RateProfile::pulse(0, seconds(1), 1472e9)));
+  EXPECT_NO_THROW(LoadGenerator(sim, *src, dst->ip(),
+                                RateProfile::pulse(0, seconds(1), 0.0)));
 }
 
 TEST_F(GeneratorFixture, HeaderOverheadMatchesPaperTwoPercentClaim) {

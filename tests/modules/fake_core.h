@@ -25,15 +25,15 @@ class FakeCore : public ModuleCore {
     return watched_;
   }
   SimDuration poll_interval() const override { return 2 * kSecond; }
-  PathUsage evaluate_path(const topo::Path& path,
-                          SimTime now) const override {
-    return calculator_.path_usage(path, db_, now, 6 * kSecond);
+  PathUsage evaluate_path(std::size_t path, SimTime now) const override {
+    return calculator_.path_usage(*watched_.at(path).path, db_, now,
+                                  6 * kSecond);
   }
   const std::string& station() const override { return station_; }
 
-  void emit_path_sample(const PathKey& key, SimTime time,
+  void emit_path_sample(std::size_t path, SimTime time,
                         const PathUsage& usage) override {
-    emitted_paths.push_back({key, time, usage});
+    emitted_paths.push_back({watched_.at(path).key, time, usage});
   }
   void emit_connection_sample(std::size_t connection, SimTime time,
                               BytesPerSecond used) override {

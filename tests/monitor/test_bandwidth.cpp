@@ -60,12 +60,11 @@ class BandwidthFixture : public ::testing::Test {
   void set_traffic(std::size_t ci, double bytes_per_sec) {
     const auto& point = plan->measurement_for(ci);
     ASSERT_TRUE(point.has_value());
-    const InterfaceKey key{point->node, point->interface};
     CounterSample first{0, 0, 0, 0, 0};
     const auto half = static_cast<std::uint32_t>(bytes_per_sec / 2);
     CounterSample second{100, half, half, 1, 1};
-    db.update(key, seconds(0), first);
-    db.update(key, seconds(1), second);
+    db.update(*point, seconds(0), first);
+    db.update(*point, seconds(1), second);
   }
 
   topo::NetworkTopology topo;
@@ -145,45 +144,63 @@ TEST_F(BandwidthFixture, EmptyPathIsIncomplete) {
   EXPECT_DOUBLE_EQ(usage.available, 0.0);
 }
 
-/// The interface's raw rate ring in the db's history store, or null.
-const hist::RingTier* raw_rates(const StatsDb& db, const InterfaceKey& key) {
-  const hist::Series* series =
-      db.history().find(hist::interface_series_key(key.first, key.second));
+/// The point's raw rate ring in the db's history store, or null.
+const hist::RingTier* raw_rates(const StatsDb& db,
+                                const MeasurePoint& point) {
+  const hist::Series* series = db.history().find(
+      hist::interface_series_key(point.node, point.interface));
   return series != nullptr ? &series->raw() : nullptr;
 }
 
 TEST(StatsDbBasics, UpdateAndSeries) {
   StatsDb db;
-  const InterfaceKey key{"n", "e"};
-  EXPECT_FALSE(db.latest_rate(key).has_value());
-  EXPECT_EQ(raw_rates(db, key), nullptr);
+  const MeasurePoint point{.node = "n", .interface = "e", .id = 0};
+  EXPECT_FALSE(db.latest_rate(point.id).has_value());
+  EXPECT_EQ(raw_rates(db, point), nullptr);
 
-  EXPECT_FALSE(db.update(key, seconds(0), {0, 0, 0, 0, 0}).has_value());
-  const auto rates = db.update(key, seconds(2), {200, 1000, 1000, 5, 5});
+  EXPECT_FALSE(db.update(point, seconds(0), {0, 0, 0, 0, 0}).has_value());
+  const auto rates = db.update(point, seconds(2), {200, 1000, 1000, 5, 5});
   ASSERT_TRUE(rates.has_value());
   EXPECT_DOUBLE_EQ(rates->total_rate(), 1000.0);
 
-  ASSERT_TRUE(db.latest_rate(key).has_value());
-  const hist::RingTier* series = raw_rates(db, key);
+  ASSERT_TRUE(db.latest_rate(point.id).has_value());
+  const hist::RingTier* series = raw_rates(db, point);
   ASSERT_NE(series, nullptr);
   ASSERT_EQ(series->size(), 1u);
   EXPECT_EQ(series->at(0).start, seconds(2));
   EXPECT_DOUBLE_EQ(series->at(0).last, 1000.0);
   EXPECT_EQ(db.size(), 1u);
-  ASSERT_TRUE(db.last_update(key).has_value());
-  EXPECT_EQ(*db.last_update(key), seconds(2));
+  ASSERT_TRUE(db.last_update(point.id).has_value());
+  EXPECT_EQ(*db.last_update(point.id), seconds(2));
+}
+
+TEST(StatsDbBasics, EveryUpdateBumpsTheVersion) {
+  StatsDb db;
+  const MeasurePoint point{.node = "n", .interface = "e", .id = 3};
+  EXPECT_EQ(db.version(), 0u);
+  EXPECT_EQ(db.size(), 0u);
+  db.update(point, seconds(0), {0, 0, 0, 0, 0});
+  EXPECT_EQ(db.version(), 1u);
+  // The same counters again: no rate, still an update.
+  db.update(point, seconds(2), {0, 0, 0, 0, 0});
+  EXPECT_EQ(db.version(), 2u);
+  // Ids below the highest one seen have no sample of their own.
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_FALSE(db.last_update(0).has_value());
+  EXPECT_FALSE(db.latest_rate(0).has_value());
+  EXPECT_FALSE(db.last_update(7).has_value());
 }
 
 TEST(StatsDbBasics, ZeroTickUpdateKeepsPreviousRate) {
   StatsDb db;
-  const InterfaceKey key{"n", "e"};
-  db.update(key, seconds(0), {0, 0, 0, 0, 0});
-  db.update(key, seconds(2), {200, 1000, 0, 1, 0});
+  const MeasurePoint point{.node = "n", .interface = "e", .id = 0};
+  db.update(point, seconds(0), {0, 0, 0, 0, 0});
+  db.update(point, seconds(2), {200, 1000, 0, 1, 0});
   // Same agent uptime (cached snapshot): no new rate recorded.
-  const auto none = db.update(key, seconds(4), {200, 1000, 0, 1, 0});
+  const auto none = db.update(point, seconds(4), {200, 1000, 0, 1, 0});
   EXPECT_FALSE(none.has_value());
-  EXPECT_EQ(raw_rates(db, key)->size(), 1u);
-  EXPECT_TRUE(db.latest_rate(key).has_value());
+  EXPECT_EQ(raw_rates(db, point)->size(), 1u);
+  EXPECT_TRUE(db.latest_rate(point.id).has_value());
 }
 
 }  // namespace

@@ -71,12 +71,12 @@ TEST(StatsDbWrap, WrapProducesOneCorrectedSampleInHistory) {
   policy.tiers = {{2 * kSecond, 8}};
   StatsDb db(policy);
   db.attach_metrics(registry);
-  const InterfaceKey key{"hub0", "eth0"};
+  const MeasurePoint point{.node = "hub0", .interface = "eth0", .id = 0};
 
   CounterSample before{/*ticks=*/0, /*in=*/0xffffff00u, /*out=*/0, 0, 0};
   CounterSample after{/*ticks=*/100, /*in=*/0x100u, /*out=*/0, 0, 0};
-  db.update(key, seconds(0), before);
-  db.update(key, seconds(1), after);
+  db.update(point, seconds(0), before);
+  db.update(point, seconds(1), after);
 
   EXPECT_DOUBLE_EQ(
       registry.counter("netqos_statsdb_counter_wraps_total", "").value(),

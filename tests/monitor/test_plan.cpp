@@ -70,7 +70,7 @@ TEST_F(LirtssPlan, AgentTasksCoverAllSixAgents) {
       found_switch = true;
       EXPECT_EQ(task.address, sim::Ipv4Address::parse("10.0.0.100"));
       // The switch is asked for the agentless ports + the hub uplink.
-      EXPECT_GE(task.interfaces.size(), 5u);  // p4..p7 + p8
+      EXPECT_GE(task.points.size(), 5u);  // p4..p7 + p8
     }
     if (task.node == "S1") {
       EXPECT_EQ(task.address, sim::Ipv4Address::parse("10.0.0.11"));
@@ -81,11 +81,60 @@ TEST_F(LirtssPlan, AgentTasksCoverAllSixAgents) {
 
 TEST_F(LirtssPlan, InterfaceListsDeduplicated) {
   for (const auto& task : plan.agents()) {
-    std::set<std::string> unique(task.interfaces.begin(),
-                                 task.interfaces.end());
-    EXPECT_EQ(unique.size(), task.interfaces.size())
+    std::set<std::string> unique;
+    for (const PointId id : task.points) {
+      unique.insert(plan.point(id).interface);
+    }
+    EXPECT_EQ(unique.size(), task.points.size())
         << "duplicates polled on " << task.node;
   }
+}
+
+TEST_F(LirtssPlan, MeasurePointsCarryDenseIds) {
+  // Every primary and fallback point indexes the point table, and each
+  // (node, ifDescr) has exactly one id.
+  std::set<PointId> seen;
+  for (std::size_t ci = 0; ci < specfile.topology.connections().size();
+       ++ci) {
+    for (const auto* candidate :
+         {&plan.primary_measurement_for(ci), &plan.switch_fallback_for(ci)}) {
+      if (!candidate->has_value()) continue;
+      const MeasurePoint& point = **candidate;
+      ASSERT_LT(point.id, plan.point_count());
+      EXPECT_EQ(plan.point(point.id).node, point.node);
+      EXPECT_EQ(plan.point(point.id).interface, point.interface);
+      EXPECT_EQ(plan.point_key(point.id),
+                InterfaceKey(point.node, point.interface));
+      EXPECT_EQ(plan.find_point(point.node, point.interface), point.id);
+      seen.insert(point.id);
+    }
+  }
+  EXPECT_EQ(seen.size(), plan.point_count());
+  // Agentless S3 is measured at its switch port only.
+  EXPECT_FALSE(plan.find_point("S3", "hme0").has_value());
+  EXPECT_TRUE(plan.find_point("sw0", "p4").has_value());
+
+  for (const auto& task : plan.agents()) {
+    for (const PointId id : task.points) {
+      EXPECT_EQ(plan.point(id).node, task.node);
+    }
+  }
+
+  // Monitors sharing a StatsDb build their plans separately: the ids
+  // must agree.
+  const PollPlan again = PollPlan::build(specfile.topology);
+  ASSERT_EQ(again.point_count(), plan.point_count());
+  for (PointId id = 0; id < plan.point_count(); ++id) {
+    EXPECT_EQ(again.point_key(id), plan.point_key(id));
+  }
+}
+
+TEST_F(LirtssPlan, EveryQuarantineCallBumpsTheVersion) {
+  const std::uint64_t before = plan.version();
+  plan.set_agent_quarantined("S2", true);
+  EXPECT_EQ(plan.version(), before + 1);
+  plan.set_agent_quarantined("S2", false);
+  EXPECT_EQ(plan.version(), before + 2);
 }
 
 TEST_F(LirtssPlan, DomainsComputed) {

@@ -44,11 +44,14 @@ TEST_P(PollPathIngest, OneUndecodableCellCostsOnlyItsOwnInterface) {
                                    return t->node == "sw0";
                                  });
   ASSERT_NE(task, polled.end());
-  const std::vector<std::string>& ports = (*task)->interfaces;
-  ASSERT_NE(std::find(ports.begin(), ports.end(), "p4"), ports.end());
-  ASSERT_GT(ports.size(), 1u);
-  for (const std::string& port : ports) {
-    const auto rate = monitor.stats_db().latest_rate({"sw0", port});
+  const std::vector<PointId>& points = (*task)->points;
+  ASSERT_NE(std::find(points.begin(), points.end(),
+                      monitor.plan().find_point("sw0", "p4")),
+            points.end());
+  ASSERT_GT(points.size(), 1u);
+  for (const PointId point : points) {
+    const std::string& port = monitor.plan().point(point).interface;
+    const auto rate = monitor.stats_db().latest_rate(point);
     EXPECT_EQ(rate.has_value(), port != "p4") << "sw0." << port;
   }
   EXPECT_GT(monitor.stats().agent_poll_failures, 0u);

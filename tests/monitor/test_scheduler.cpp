@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -68,6 +69,51 @@ TEST(PollScheduler, BackoffGrowsExponentiallyToCap) {
   // The backed-off agent is not due until the interval elapses.
   EXPECT_TRUE(sched.due(now - 1).empty());
   EXPECT_EQ(sched.due(now).size(), 1u);
+}
+
+TEST(PollScheduler, RejectsConfigsItCannotRunWith) {
+  const auto rejects = [](auto&& tweak) {
+    SchedulerConfig config = base_config();
+    tweak(config);
+    EXPECT_THROW(PollScheduler(config, {"a"}), std::invalid_argument);
+  };
+  rejects([](SchedulerConfig& c) { c.poll_interval = 0; });
+  rejects([](SchedulerConfig& c) { c.poll_interval = -kSecond; });
+  rejects([](SchedulerConfig& c) { c.backoff_base = 0.5; });
+  rejects([](SchedulerConfig& c) {
+    c.backoff_base = std::numeric_limits<double>::quiet_NaN();
+  });
+  rejects([](SchedulerConfig& c) { c.backoff_cap = kSecond; });
+  rejects([](SchedulerConfig& c) { c.backoff_cap = -kSecond; });
+  // The boundaries are accepted: base 1 (no backoff), a cap equal to
+  // the interval, and 0 for the default cap.
+  SchedulerConfig config = base_config();
+  config.backoff_base = 1.0;
+  config.backoff_cap = config.poll_interval;
+  EXPECT_NO_THROW(PollScheduler(config, {"a"}));
+  config.backoff_cap = 0;
+  EXPECT_NO_THROW(PollScheduler(config, {"a"}));
+}
+
+TEST(MonitorConfigChecks, RejectsIntervalsItCannotRunWith) {
+  exp::LirtssTestbed bed;
+  const auto rejects = [&](const MonitorConfig& config) {
+    EXPECT_THROW(NetworkMonitor(bed.simulator(), bed.topology(),
+                                bed.host("L"), config),
+                 std::invalid_argument);
+  };
+  MonitorConfig zero;
+  zero.poll_interval = 0;
+  rejects(zero);
+  MonitorConfig tiny;  // netqosmon --poll 1e-300: 0 ns after conversion
+  tiny.poll_interval = from_seconds(1e-300 / 1000.0);
+  rejects(tiny);
+  MonitorConfig stale;
+  stale.stale_after = -kSecond;
+  rejects(stale);
+  MonitorConfig base;  // the scheduler's own checks reach the monitor
+  base.scheduler.backoff_base = 0.0;
+  rejects(base);
 }
 
 TEST(PollScheduler, ExplicitCapOverridesDefault) {
@@ -246,26 +292,31 @@ TEST(PollPlanQuarantine, QuarantinedFallbackAgentKeepsPrimary) {
 // --- per-interface staleness in the StatsDb ------------------------------
 
 TEST(StatsDbAge, PerInterfaceAgeIsNotDbGlobal) {
+  // The testbed's plan gives each host interface its own point id.
+  const spec::SpecFile specfile = spec::lirtss_testbed();
+  const PollPlan plan = PollPlan::build(specfile.topology);
+  const auto slow = plan.find_point("S2", "hme0");
+  const auto fast = plan.find_point("S1", "hme0");
+  const auto unpolled = plan.find_point("sw0", "p4");  // S3's port
+  ASSERT_TRUE(slow.has_value() && fast.has_value() && unpolled.has_value());
   StatsDb db;
-  const InterfaceKey slow{"S2", "hme0"};
-  const InterfaceKey fast{"S1", "hme0"};
   CounterSample sample;
   sample.sys_uptime_ticks = 100;
-  db.update(slow, seconds(1), sample);
+  db.update(plan.point(*slow), seconds(1), sample);
   sample.sys_uptime_ticks = 900;
-  db.update(fast, seconds(9), sample);
+  db.update(plan.point(*fast), seconds(9), sample);
 
   // At t=10 s the most recently polled interface is 1 second old, but
   // the other is 9: each interface keeps its own clock.
-  ASSERT_TRUE(db.last_update(slow).has_value());
-  EXPECT_EQ(*db.last_update(slow), seconds(1));
-  EXPECT_EQ(*db.last_update(fast), seconds(9));
-  EXPECT_EQ(*db.sample_age(slow, seconds(10)), 9 * kSecond);
-  EXPECT_EQ(*db.sample_age(fast, seconds(10)), 1 * kSecond);
+  ASSERT_TRUE(db.last_update(*slow).has_value());
+  EXPECT_EQ(*db.last_update(*slow), seconds(1));
+  EXPECT_EQ(*db.last_update(*fast), seconds(9));
+  EXPECT_EQ(*db.sample_age(*slow, seconds(10)), 9 * kSecond);
+  EXPECT_EQ(*db.sample_age(*fast, seconds(10)), 1 * kSecond);
 
   // Unknown interfaces have no age at all.
-  EXPECT_FALSE(db.last_update({"S3", "hme0"}).has_value());
-  EXPECT_FALSE(db.sample_age({"S3", "hme0"}, seconds(10)).has_value());
+  EXPECT_FALSE(db.last_update(*unpolled).has_value());
+  EXPECT_FALSE(db.sample_age(*unpolled, seconds(10)).has_value());
 }
 
 // --- end-to-end: dark agent, fallback, staleness, recovery ---------------

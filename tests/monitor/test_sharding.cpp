@@ -36,7 +36,7 @@ TEST_F(ShardingFixture, InterfaceWeightedPartitionBalancesLoad) {
   std::map<std::string, std::size_t> weight;
   std::size_t heaviest = 0;
   for (const AgentTask& task : plan.agents()) {
-    weight[task.node] = std::max<std::size_t>(1, task.interfaces.size());
+    weight[task.node] = std::max<std::size_t>(1, task.points.size());
     heaviest = std::max(heaviest, weight[task.node]);
   }
 

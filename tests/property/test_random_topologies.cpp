@@ -200,7 +200,7 @@ TEST_P(RandomTopology, PollPlanInvariants) {
   EXPECT_LE(plan.agents().size(), agents);
   for (const auto& task : plan.agents()) {
     EXPECT_TRUE(topo.find_node(task.node)->snmp_enabled);
-    EXPECT_FALSE(task.interfaces.empty());
+    EXPECT_FALSE(task.points.empty());
   }
 
   for (std::size_t ci = 0; ci < topo.connections().size(); ++ci) {

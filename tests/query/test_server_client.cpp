@@ -75,7 +75,7 @@ TEST_F(QueryServiceTest, WindowOverANearConstantSeriesIsAnswered) {
   // window once threw from the store, out of the server's packet handler
   // and out of the simulator.
   mon::StatsDb db;
-  const mon::InterfaceKey interface{"S2", "eth0"};
+  const mon::MeasurePoint interface{.node = "S2", .interface = "eth0"};
   mon::CounterSample sample;
   sample.high_capacity = true;
   db.update(interface, seconds(1), sample);
