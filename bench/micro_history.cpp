@@ -8,8 +8,11 @@
 // micro_history.jsonl (one JSON object per line) for CI to archive.
 //
 // A window query must not allocate: the binary counts operator new
-// calls (wallbench's heap.h tally) inside both window-query loops,
-// reports allocs_per_op, and exits nonzero if either loop allocated.
+// calls (wallbench's heap.h tally) inside every window-query loop,
+// reports allocs_per_op, and exits nonzero if any loop allocated. Each
+// window is timed twice: alternating with a shifted window, so every
+// query summarizes its buckets, and repeated, so the series' memo
+// answers.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,7 +42,7 @@ struct Measurement {
 std::vector<Measurement> g_results;
 
 void report(const Measurement& m) {
-  std::printf("%-28s %12zu ops %12.1f ns/op", m.bench.c_str(), m.ops,
+  std::printf("%-32s %12zu ops %12.1f ns/op", m.bench.c_str(), m.ops,
               m.ns_per_op);
   if (!m.extra_name.empty()) {
     std::printf("  %s=%.0f", m.extra_name.c_str(), m.extra);
@@ -82,29 +85,22 @@ void bench_series_append() {
   report(m);
 }
 
-/// Times a trailing-window query; returns false if any query allocated.
-bool bench_window_query(const char* name, SimDuration window) {
-  // Fill well past every tier's horizon so the query planner exercises
-  // its fallback logic, then query the trailing window repeatedly.
-  constexpr std::size_t kFill = 100'000;
+/// Runs `query(i)` for i in [0, kOps), reports it as `bench`, and
+/// returns false if any query allocated.
+template <typename Query>
+bool time_queries(const std::string& bench, Query&& query) {
   constexpr std::size_t kOps = 50'000;
-  Series series(realistic_policy());
-  for (std::size_t i = 0; i < kFill; ++i) {
-    series.add(2 * kSecond * static_cast<std::int64_t>(i), sample_value(i));
-  }
-  const SimTime end = 2 * kSecond * static_cast<std::int64_t>(kFill);
   double checksum = 0.0;
   const std::uint64_t allocations_before = wallbench::alloc_tally().calls;
   const auto start = Clock::now();
   for (std::size_t i = 0; i < kOps; ++i) {
-    const WindowSummary summary = series.query(end - window, end);
-    checksum += summary.mean;  // defeat dead-code elimination
+    checksum += query(i).mean;  // defeat dead-code elimination
   }
   const auto stop = Clock::now();
   const std::uint64_t allocations =
       wallbench::alloc_tally().calls - allocations_before;
   Measurement m;
-  m.bench = name;
+  m.bench = bench;
   m.ops = kOps;
   m.ns_per_op =
       std::chrono::duration<double, std::nano>(stop - start).count() / kOps;
@@ -115,10 +111,36 @@ bool bench_window_query(const char* name, SimDuration window) {
   report(m);
   if (allocations != 0) {
     std::fprintf(stderr, "FAIL: %s allocated %llu times in %zu queries\n",
-                 name, static_cast<unsigned long long>(allocations), kOps);
+                 bench.c_str(), static_cast<unsigned long long>(allocations),
+                 kOps);
     return false;
   }
   return true;
+}
+
+/// Times a trailing-window query in two loops; returns false if either
+/// allocated. `name` alternates between the window and the same window
+/// a minute earlier: a minute is at least one bucket on every tier, so
+/// each query misses the series' one-entry memo and summarizes its
+/// buckets. `name`_repeat asks for one window every time, so after the
+/// first query the memo answers.
+bool bench_window_query(const char* name, SimDuration window) {
+  // Fill well past every tier's horizon so the query planner exercises
+  // its fallback logic.
+  constexpr std::size_t kFill = 100'000;
+  Series series(realistic_policy());
+  for (std::size_t i = 0; i < kFill; ++i) {
+    series.add(2 * kSecond * static_cast<std::int64_t>(i), sample_value(i));
+  }
+  const SimTime end = 2 * kSecond * static_cast<std::int64_t>(kFill);
+  const SimTime ends[2] = {end, end - seconds(60)};
+  const bool summarized_alloc_free = time_queries(name, [&](std::size_t i) {
+    return series.query(ends[i % 2] - window, ends[i % 2]);
+  });
+  const bool repeated_alloc_free =
+      time_queries(std::string(name) + "_repeat",
+                   [&](std::size_t) { return series.query(end - window, end); });
+  return summarized_alloc_free && repeated_alloc_free;
 }
 
 void bench_store_fanout() {

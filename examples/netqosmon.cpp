@@ -88,8 +88,10 @@ struct Options {
                "[--metrics-out FILE] [--trace-out FILE] "
                "[--metrics-jsonl FILE] "
                "[--history-retention SECS] [--forecast-horizon SECS] "
-               "[--serve] [--modules LIST] [--probe LIST]\n",
-               argv0);
+               "[--serve] [--modules LIST] [--probe LIST]\n"
+               "  --history-retention keeps at most %zu poll intervals "
+               "per series (about 36 h at the default 2 s poll)\n",
+               argv0, hist::RetentionPolicy::kMaxSpanBuckets - 2);
   std::exit(2);
 }
 

@@ -1,24 +1,27 @@
 #include "common/byte_buffer.h"
 
+#include <algorithm>
+
 namespace netqos {
 
-void ByteWriter::put_bytes(std::span<const std::uint8_t> data) {
-  out_.insert(out_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::put_string(const std::string& s) {
-  out_.insert(out_.end(), s.begin(), s.end());
+void ByteWriter::grow(std::size_t n) {
+  // The buffer's own capacity first: a reused buffer does not allocate
+  // while its heap suffices. Past it, at least double.
+  const std::size_t need = len_ + n;
+  out_.resize(need <= out_.capacity()
+                  ? out_.capacity()
+                  : std::max(need, 2 * out_.capacity()));
 }
 
 void ByteWriter::patch_u8(std::size_t offset, std::uint8_t v) {
-  if (offset >= out_.size()) {
+  if (offset >= len_) {
     throw std::out_of_range("ByteWriter::patch_u8 past end");
   }
   out_[offset] = v;
 }
 
 void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
-  if (offset > out_.size() || out_.size() - offset < sizeof(v)) {
+  if (offset > len_ || len_ - offset < sizeof(v)) {
     throw std::out_of_range("ByteWriter::patch_u32 past end");
   }
   const std::uint32_t wire = detail::big_endian(v);

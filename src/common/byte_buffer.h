@@ -49,6 +49,12 @@ constexpr T big_endian(T v) {
 }  // namespace detail
 
 /// Appends big-endian integers and raw bytes to an owned buffer.
+///
+/// The writer keeps its own written length over a buffer whose size is
+/// the writable region: a put is one compare against that region and one
+/// memcpy. The region grows geometrically, and first to the buffer's
+/// whole capacity, so a reused buffer's heap is written without
+/// allocating. take() trims the buffer to the written bytes.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -58,34 +64,54 @@ class ByteWriter {
     out_.clear();
   }
 
-  void reserve(std::size_t n) { out_.reserve(n); }
+  /// Makes room for `n` bytes in all, so an encoder that knows its
+  /// frame's size checks capacity once.
+  void reserve(std::size_t n) {
+    if (n > out_.size()) out_.resize(n);
+  }
 
-  void put_u8(std::uint8_t v) { out_.push_back(v); }
+  void put_u8(std::uint8_t v) { put_word(v); }
   void put_u16(std::uint16_t v) { put_word(v); }
   void put_u32(std::uint32_t v) { put_word(v); }
   void put_u64(std::uint64_t v) { put_word(v); }
-  void put_bytes(std::span<const std::uint8_t> data);
-  void put_string(const std::string& s);
+  void put_bytes(std::span<const std::uint8_t> data) {
+    put_raw(data.data(), data.size());
+  }
+  void put_string(const std::string& s) { put_raw(s.data(), s.size()); }
 
   /// Overwrites a single previously written byte (for length back-patching).
   void patch_u8(std::size_t offset, std::uint8_t v);
   /// Overwrites four previously written bytes with a big-endian word.
   void patch_u32(std::size_t offset, std::uint32_t v);
 
-  std::size_t size() const { return out_.size(); }
-  const Bytes& bytes() const& { return out_; }
-  Bytes take() && { return std::move(out_); }
+  std::size_t size() const { return len_; }
+  /// The bytes written so far.
+  std::span<const std::uint8_t> bytes() const& { return {out_.data(), len_}; }
+  Bytes take() && {
+    out_.resize(len_);
+    return std::move(out_);
+  }
 
  private:
   template <typename T>
   void put_word(T v) {
     const T wire = detail::big_endian(v);
-    const std::size_t at = out_.size();
-    out_.resize(at + sizeof(T));
-    std::memcpy(out_.data() + at, &wire, sizeof(T));
+    put_raw(&wire, sizeof(T));
   }
 
-  Bytes out_;
+  void put_raw(const void* data, std::size_t n) {
+    if (out_.size() - len_ < n) grow(n);
+    // An empty buffer's data() may be null, which memcpy may not get
+    // even for zero bytes.
+    if (n != 0) std::memcpy(out_.data() + len_, data, n);
+    len_ += n;
+  }
+
+  /// Widens the writable region to fit `n` more bytes.
+  void grow(std::size_t n);
+
+  Bytes out_;             ///< size() is the writable region
+  std::size_t len_ = 0;   ///< bytes written
 };
 
 /// Consumes big-endian integers and raw bytes from a borrowed buffer.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 namespace netqos::hist {
 
@@ -11,10 +12,16 @@ RetentionPolicy RetentionPolicy::for_span(SimDuration raw_span,
   if (raw_span <= 0 || sample_interval <= 0) {
     throw std::invalid_argument("for_span needs positive span and interval");
   }
-  RetentionPolicy policy;
   // +2 slack: the edge samples of a span straddle its boundaries.
-  policy.raw_capacity =
-      static_cast<std::size_t>(raw_span / sample_interval) + 2;
+  const auto intervals = static_cast<std::size_t>(raw_span / sample_interval);
+  if (intervals > kMaxSpanBuckets - 2) {
+    throw std::invalid_argument(
+        "history retention of " + std::to_string(intervals) +
+        " sample intervals exceeds the bound of " +
+        std::to_string(kMaxSpanBuckets - 2) + " per series");
+  }
+  RetentionPolicy policy;
+  policy.raw_capacity = intervals + 2;
   // Cascade: 4x coarser buckets spanning 4x the raw horizon, then 16x.
   const SimDuration fine = std::max<SimDuration>(4 * sample_interval, 1);
   policy.tiers = {{fine, policy.raw_capacity},
@@ -39,6 +46,7 @@ Series::Series(const RetentionPolicy& policy)
 }
 
 Series::AppendOutcome Series::add(SimTime t, double v) {
+  ++appends_;
   AppendOutcome outcome;
   bool evicted = false;
   if (raw_.add(t, v, &evicted) == RingTier::Append::kMerged) {
@@ -79,24 +87,23 @@ const RingTier* Series::tier_for(SimTime begin, bool* complete) const {
   return coarsest_nonempty;
 }
 
-WindowSummary Series::query(SimTime begin, SimTime end) const {
-  WindowSummary summary;
-  bool complete = false;
-  const RingTier* tier = tier_for(begin, &complete);
-  if (tier == nullptr) return summary;
-  summary.resolution = tier->width();
-  summary.complete = complete;
+namespace {
 
-  const auto [first, last] = tier->overlapping(begin, end);
+/// The window summary over buckets [first, last) of `tier`: everything
+/// but `complete`.
+WindowSummary summarize(const RingTier& tier, std::size_t first,
+                        std::size_t last) {
+  WindowSummary summary;
+  summary.resolution = tier.width();
   summary.buckets = last - first;
   if (first == last) return summary;
 
   // Pass 1: extremes, sum and sample count over the window's buckets.
-  double min = tier->at(first).min;
-  double max = tier->at(first).max;
+  double min = tier.at(first).min;
+  double max = tier.at(first).max;
   double sum = 0.0;
   for (std::size_t i = first; i < last; ++i) {
-    const Bucket& bucket = tier->at(i);
+    const Bucket& bucket = tier.at(i);
     if (bucket.min < min) min = bucket.min;
     if (bucket.max > max) max = bucket.max;
     sum += bucket.sum;
@@ -124,13 +131,32 @@ WindowSummary Series::query(SimTime begin, SimTime end) const {
     bounds[i] = min + step * static_cast<double>(i + 1);
   }
   for (std::size_t i = first; i < last; ++i) {
-    const Bucket& bucket = tier->at(i);
+    const Bucket& bucket = tier.at(i);
     const auto bin = std::lower_bound(bounds.begin(), bounds.end(),
                                       bucket.mean()) -
                      bounds.begin();
     counts[static_cast<std::size_t>(bin)] += bucket.count;
   }
   summary.p95 = bucket_percentile(bounds, counts, summary.samples, min, 0.95);
+  return summary;
+}
+
+}  // namespace
+
+WindowSummary Series::query(SimTime begin, SimTime end) const {
+  bool complete = false;
+  const RingTier* tier = tier_for(begin, &complete);
+  if (tier == nullptr) return {};
+  const auto [first, last] = tier->overlapping(begin, end);
+  const std::size_t tier_index =
+      tier == &raw_ ? 0 : 1 + static_cast<std::size_t>(tier - tiers_.data());
+  if (memo_.appends != appends_ || memo_.tier != tier_index ||
+      memo_.first != first || memo_.last != last) {
+    memo_ = {appends_, tier_index, first, last,
+             summarize(*tier, first, last)};
+  }
+  WindowSummary summary = memo_.summary;
+  summary.complete = complete;
   return summary;
 }
 

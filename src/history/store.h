@@ -11,6 +11,7 @@
 // old windows degrade gracefully instead of disappearing.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -37,9 +38,16 @@ struct RetentionPolicy {
   /// Downsampled tiers, finest first; widths must be strictly ascending.
   std::vector<Tier> tiers = {{10 * kSecond, 512}, {60 * kSecond, 256}};
 
+  /// for_span's bound on each of its three rings, in buckets: 65,536 is
+  /// about 36 hours of 2 s polls and 9.4 MB per series (the rings are
+  /// allocated, zero-filled, when the series is made).
+  static constexpr std::size_t kMaxSpanBuckets = 65'536;
+
   /// Policy sized so the raw ring spans `raw_span` of samples arriving
   /// every `sample_interval`, with the default downsample cascade scaled
   /// to cover ~16x that span. Used by netqosmon --history-retention.
+  /// Throws std::invalid_argument unless both are positive and the span
+  /// fits kMaxSpanBuckets - 2 intervals.
   static RetentionPolicy for_span(SimDuration raw_span,
                                   SimDuration sample_interval);
 };
@@ -76,6 +84,11 @@ class Series {
   };
   AppendOutcome add(SimTime t, double v);
 
+  /// Summary of [begin, end) from the finest tier that covers it. A
+  /// repeat of the last answer's tier and bucket range with no append
+  /// in between is answered from a one-entry memo (DESIGN §6): the
+  /// summary reads nothing else, so the memo is exact, and `complete`,
+  /// which depends on `begin`, is recomputed on every call.
   WindowSummary query(SimTime begin, SimTime end) const;
 
   const RingTier& raw() const { return raw_; }
@@ -98,8 +111,22 @@ class Series {
   /// coarsest non-empty tier). Nullptr when the series is empty.
   const RingTier* tier_for(SimTime begin, bool* complete) const;
 
+  /// The last summary query() computed and what it was computed from.
+  /// The tier is kept by index (0 = raw, i = tiers_[i - 1]), not by
+  /// address, so a moved Series never matches a stale memo. `appends`
+  /// starts at 0, which no query of a non-empty series can carry.
+  struct Memo {
+    std::uint64_t appends = 0;
+    std::size_t tier = 0;
+    std::size_t first = 0;
+    std::size_t last = 0;
+    WindowSummary summary;
+  };
+
   RingTier raw_;
   std::vector<RingTier> tiers_;
+  std::uint64_t appends_ = 0;  ///< calls of add(), the memo's clock
+  mutable Memo memo_;          ///< single-threaded, like every reader
 };
 
 /// Keyed collection of Series, all sharing one retention policy, with

@@ -81,8 +81,8 @@ DistributedMonitor::DistributedMonitor(sim::Simulator& sim,
     worker_config.agent_allowlist = std::move(partitions[s]);
     // Phase the stations' rounds apart so the partitions do not all
     // burst onto the network at the same instant.
-    worker_config.scheduler.start_offset +=
-        static_cast<SimDuration>(s) * worker_config.scheduler.stagger;
+    worker_config.scheduler.start_offset += PollScheduler::launch_phase(
+        s, worker_config.scheduler.stagger);
     workers_.push_back(std::make_unique<NetworkMonitor>(
         sim, topo, *stations[s], db_, worker_config));
   }

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.h"
 
 namespace netqos::mon {
+
+SimDuration PollScheduler::launch_phase(std::size_t index,
+                                        SimDuration stagger) {
+  SimDuration phase = 0;
+  if (__builtin_mul_overflow(index, stagger, &phase) ||
+      phase > std::numeric_limits<SimTime>::max() / 2) {
+    throw std::invalid_argument("stagger too large: " +
+                                std::to_string(index) +
+                                " x stagger passes half of the clock");
+  }
+  return phase;
+}
 
 const char* agent_health_name(AgentHealth health) {
   switch (health) {
@@ -32,11 +45,14 @@ PollScheduler::PollScheduler(SchedulerConfig config,
         "backoff cap must be 0 (the default) or at least the poll "
         "interval");
   }
+  if (config_.stagger < 0) {
+    throw std::invalid_argument("stagger must not be negative");
+  }
   agents_.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     AgentState agent;
     agent.node = std::move(nodes[i]);
-    agent.phase = static_cast<SimDuration>(i) * config_.stagger;
+    agent.phase = launch_phase(i, config_.stagger);
     agents_.push_back(std::move(agent));
   }
 }
@@ -45,8 +61,7 @@ void PollScheduler::add_agent(const std::string& node) {
   if (find(node) != nullptr) return;
   AgentState agent;
   agent.node = node;
-  agent.phase =
-      static_cast<SimDuration>(agents_.size()) * config_.stagger;
+  agent.phase = launch_phase(agents_.size(), config_.stagger);
   agents_.push_back(std::move(agent));
 }
 

@@ -81,14 +81,18 @@ class PollScheduler {
       std::function<void(const std::string&, AgentHealth, AgentHealth)>;
 
   /// Throws std::invalid_argument for a poll interval <= 0, a backoff
-  /// base below 1, or a nonzero backoff cap shorter than the interval.
+  /// base below 1, a nonzero backoff cap shorter than the interval, a
+  /// negative stagger, or a launch phase (index * stagger) past half of
+  /// the clock's range.
   PollScheduler(SchedulerConfig config, std::vector<std::string> nodes);
 
   /// Registers an agent mid-run (shard ownership handoff). It joins
   /// healthy, immediately due, with the next free stagger phase. No-op if
-  /// already registered. Must not be called from inside a transition
-  /// callback: record_result holds a pointer across the callback, so
-  /// membership changes there must be deferred (schedule_after(0)).
+  /// already registered; throws std::invalid_argument, registering
+  /// nothing, when that phase would pass half of the clock's range. Must
+  /// not be called from inside a transition callback: record_result
+  /// holds a pointer across the callback, so membership changes there
+  /// must be deferred (schedule_after(0)).
   void add_agent(const std::string& node);
   /// Unregisters an agent (handed off to another station). Same
   /// no-reentrancy rule as add_agent. Returns false when unknown.
@@ -121,6 +125,12 @@ class PollScheduler {
 
   /// Random launch delay in [0, launch_jitter) — deterministic stream.
   SimDuration draw_jitter();
+
+  /// index * stagger, the launch phase of the index-th agent. A round's
+  /// start plus the phase must still fit the clock, so a phase past
+  /// half of its range throws std::invalid_argument, as does a product
+  /// that overflows.
+  static SimDuration launch_phase(std::size_t index, SimDuration stagger);
 
   const AgentState* find(const std::string& node) const;
   const std::vector<AgentState>& agents() const { return agents_; }

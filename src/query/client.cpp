@@ -19,34 +19,34 @@ void QueryClient::window(const WindowRequest& request, Callback callback) {
   Message message;
   message.header.type = MessageType::kWindowRequest;
   message.window_request = request;
-  send_request(std::move(message), std::move(callback));
+  send_request(message, std::move(callback));
 }
 
 void QueryClient::health(Callback callback) {
   Message message;
   message.header.type = MessageType::kHealthRequest;
-  send_request(std::move(message), std::move(callback));
+  send_request(message, std::move(callback));
 }
 
 void QueryClient::modules(Callback callback) {
   Message message;
   message.header.type = MessageType::kModulesRequest;
-  send_request(std::move(message), std::move(callback));
+  send_request(message, std::move(callback));
 }
 
 void QueryClient::subscribe(Callback callback) {
   Message message;
   message.header.type = MessageType::kSubscribe;
-  send_request(std::move(message), std::move(callback));
+  send_request(message, std::move(callback));
 }
 
 void QueryClient::unsubscribe(Callback callback) {
   Message message;
   message.header.type = MessageType::kUnsubscribe;
-  send_request(std::move(message), std::move(callback));
+  send_request(message, std::move(callback));
 }
 
-void QueryClient::send_request(Message message, Callback callback) {
+void QueryClient::send_request(Message& message, Callback callback) {
   const std::uint32_t request_id = next_request_id_++;
   message.header.request_id = request_id;
   message.header.sent_at = sim_.now();
@@ -84,9 +84,11 @@ void QueryClient::on_timeout(std::uint32_t request_id) {
 
 void QueryClient::on_packet(const sim::Ipv4Packet& packet) {
   stats_.bytes_received += packet.udp.payload.size();
-  Message message;
+  // Decoded straight into the result the callback receives.
+  QueryResult result;
+  Message& message = result.message;
   try {
-    message = decode_message(packet.udp.payload);
+    decode_message(packet.udp.payload, message);
   } catch (const std::exception&) {
     // A malformed frame matches no request; the timeout will fire.
     return;
@@ -105,15 +107,14 @@ void QueryClient::on_packet(const sim::Ipv4Packet& packet) {
   sim_.cancel(pending.timeout_event);
   stats_.responses++;
 
-  QueryResult result;
   result.rtt = sim_.now() - pending.sent;
   if (message.header.type == MessageType::kError) {
     stats_.errors++;
     result.status = QueryResult::Status::kError;
-    result.error = message.error;
+    result.error = std::move(message.error);
+    message = Message{};  // the message is for kOk only
   } else {
     result.status = QueryResult::Status::kOk;
-    result.message = std::move(message);
   }
   if (pending.callback) pending.callback(std::move(result));
 }

@@ -52,7 +52,9 @@ struct QueryResult {
 
 class QueryClient {
  public:
-  using Callback = std::function<void(QueryResult)>;
+  /// Takes the result by rvalue reference, so a callback that takes it
+  /// by value moves it once.
+  using Callback = std::function<void(QueryResult&&)>;
   using EventCallback = std::function<void(const Event&)>;
 
   /// Binds an ephemeral port on `host`'s UDP stack; frames go to
@@ -87,7 +89,9 @@ class QueryClient {
     SimTime sent = 0;
   };
 
-  void send_request(Message message, Callback callback);
+  /// Stamps `message`'s header with a fresh request id and the clock,
+  /// then sends it.
+  void send_request(Message& message, Callback callback);
   void on_timeout(std::uint32_t request_id);
   void on_packet(const sim::Ipv4Packet& packet);
 

@@ -12,10 +12,11 @@ bool selected(const std::string& key, const std::string& selector) {
   return selector.empty() || key.find(selector) != std::string::npos;
 }
 
-WindowRow row_from_summary(std::string key,
-                           const hist::WindowSummary& summary) {
-  WindowRow row;
-  row.key = std::move(key);
+/// Appends the row for one series summary, built in place.
+void append_row(std::vector<WindowRow>& rows, const std::string& key,
+                const hist::WindowSummary& summary) {
+  WindowRow& row = rows.emplace_back();
+  row.key = key;
   row.samples = static_cast<std::uint32_t>(summary.samples);
   row.min = summary.min;
   row.mean = summary.mean;
@@ -23,7 +24,6 @@ WindowRow row_from_summary(std::string key,
   row.p95 = summary.p95;
   row.resolution = summary.resolution;
   row.complete = summary.complete;
-  return row;
 }
 
 /// Folds one member series summary into a host aggregate. Mean is
@@ -97,7 +97,7 @@ void QueryEngine::interface_rows(const std::string& selector, SimTime begin,
     if (!selected(key, selector)) return;
     const hist::WindowSummary summary = store.query(series, begin, end);
     if (summary.samples == 0) return;
-    rows.push_back(row_from_summary(key, summary));
+    append_row(rows, key, summary);
   });
 }
 
@@ -118,7 +118,7 @@ void QueryEngine::path_rows(const std::string& selector, SimTime begin,
           series != nullptr ? store.query(*series, begin, end)
                             : store.query(key, begin, end);
       if (summary.samples == 0) continue;
-      rows.push_back(row_from_summary(key, summary));
+      append_row(rows, key, summary);
     }
   }
 }
@@ -160,9 +160,11 @@ HealthResponse QueryEngine::health(SimTime now) const {
   HealthResponse response;
   response.server_now = now;
 
-  for (const mon::PollScheduler::AgentState& agent :
-       monitor_.scheduler().agents()) {
-    AgentHealthRow row;
+  const std::vector<mon::PollScheduler::AgentState>& agents =
+      monitor_.scheduler().agents();
+  response.agents.reserve(agents.size());
+  for (const mon::PollScheduler::AgentState& agent : agents) {
+    AgentHealthRow& row = response.agents.emplace_back();
     row.node = agent.node;
     row.health = static_cast<std::uint8_t>(agent.health);
     row.consecutive_failures =
@@ -171,14 +173,14 @@ HealthResponse QueryEngine::health(SimTime now) const {
     row.failures = agent.failures;
     row.quarantines = agent.quarantines;
     row.next_due = agent.next_due;
-    response.agents.push_back(std::move(row));
   }
 
   const std::vector<mon::PathKey>& paths = monitor_.monitored_paths();
+  response.paths.reserve(paths.size());
   for (std::size_t path = 0; path < paths.size(); ++path) {
     const auto& [from, to] = paths[path];
     const mon::PathUsage usage = monitor_.current_usage(path);
-    PathHealthRow row;
+    PathHealthRow& row = response.paths.emplace_back();
     row.from = from;
     row.to = to;
     row.used = usage.used_at_bottleneck;
@@ -189,7 +191,6 @@ HealthResponse QueryEngine::health(SimTime now) const {
     row.link_down = usage.link_down;
     row.violated = violations_ != nullptr && violations_->in_violation(from, to);
     row.warning = predictive_ != nullptr && predictive_->warning_active(from, to);
-    response.paths.push_back(std::move(row));
   }
 
   if (probe_status_) {

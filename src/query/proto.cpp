@@ -5,11 +5,24 @@
 namespace netqos::query {
 namespace {
 
-void put_f64(ByteWriter& out, double v) {
+/// Stands in for ByteWriter in encode_message's size pass: each put
+/// counts the bytes the writer would append.
+struct SizeCounter {
+  std::size_t size = 0;
+  void put_u8(std::uint8_t) { size += 1; }
+  void put_u16(std::uint16_t) { size += 2; }
+  void put_u32(std::uint32_t) { size += 4; }
+  void put_u64(std::uint64_t) { size += 8; }
+  void put_string(const std::string& s) { size += s.size(); }
+};
+
+template <typename Out>
+void put_f64(Out& out, double v) {
   out.put_u64(std::bit_cast<std::uint64_t>(v));
 }
 
-void put_str(ByteWriter& out, const std::string& s) {
+template <typename Out>
+void put_str(Out& out, const std::string& s) {
   if (s.size() > 0xffff) {
     throw ProtocolError("string too long to encode");
   }
@@ -17,7 +30,8 @@ void put_str(ByteWriter& out, const std::string& s) {
   out.put_string(s);
 }
 
-void put_time(ByteWriter& out, SimTime t) {
+template <typename Out>
+void put_time(Out& out, SimTime t) {
   out.put_u64(static_cast<std::uint64_t>(t));
 }
 
@@ -48,7 +62,15 @@ std::uint16_t read_count(ByteReader& in) {
   return count;
 }
 
-void encode_body(ByteWriter& out, const Message& m) {
+/// Everything after the length prefix. Run once over a SizeCounter and
+/// once over the ByteWriter, so the two passes cannot disagree.
+template <typename Out>
+void encode_frame(Out& out, const Message& m) {
+  out.put_u16(kMagic);
+  out.put_u8(kProtocolVersion);
+  out.put_u8(static_cast<std::uint8_t>(m.header.type));
+  out.put_u32(m.header.request_id);
+  out.put_u64(static_cast<std::uint64_t>(m.header.sent_at));
   switch (m.header.type) {
     case MessageType::kWindowRequest: {
       const WindowRequest& r = m.window_request;
@@ -179,7 +201,7 @@ void decode_body(ByteReader& in, Message& m) {
       const std::uint16_t rows = read_count(in);
       r.rows.reserve(rows);
       for (std::uint16_t i = 0; i < rows; ++i) {
-        WindowRow row;
+        WindowRow& row = r.rows.emplace_back();
         row.key = read_str(in);
         row.samples = in.get_u32();
         row.min = read_f64(in);
@@ -188,7 +210,6 @@ void decode_body(ByteReader& in, Message& m) {
         row.p95 = read_f64(in);
         row.resolution = read_time(in);
         row.complete = in.get_u8() != 0;
-        r.rows.push_back(std::move(row));
       }
       break;
     }
@@ -198,7 +219,7 @@ void decode_body(ByteReader& in, Message& m) {
       const std::uint16_t agents = read_count(in);
       r.agents.reserve(agents);
       for (std::uint16_t i = 0; i < agents; ++i) {
-        AgentHealthRow a;
+        AgentHealthRow& a = r.agents.emplace_back();
         a.node = read_str(in);
         a.health = in.get_u8();
         a.consecutive_failures = in.get_u32();
@@ -206,12 +227,11 @@ void decode_body(ByteReader& in, Message& m) {
         a.failures = in.get_u64();
         a.quarantines = in.get_u64();
         a.next_due = read_time(in);
-        r.agents.push_back(std::move(a));
       }
       const std::uint16_t paths = read_count(in);
       r.paths.reserve(paths);
       for (std::uint16_t i = 0; i < paths; ++i) {
-        PathHealthRow p;
+        PathHealthRow& p = r.paths.emplace_back();
         p.from = read_str(in);
         p.to = read_str(in);
         p.used = read_f64(in);
@@ -222,12 +242,11 @@ void decode_body(ByteReader& in, Message& m) {
         p.link_down = in.get_u8() != 0;
         p.violated = in.get_u8() != 0;
         p.warning = in.get_u8() != 0;
-        r.paths.push_back(std::move(p));
       }
       const std::uint16_t probes = read_count(in);
       r.probes.reserve(probes);
       for (std::uint16_t i = 0; i < probes; ++i) {
-        ProbeStatusRow probe;
+        ProbeStatusRow& probe = r.probes.emplace_back();
         probe.estimator = read_str(in);
         probe.from = read_str(in);
         probe.to = read_str(in);
@@ -237,7 +256,6 @@ void decode_body(ByteReader& in, Message& m) {
         probe.available = read_f64(in);
         probe.estimates = in.get_u64();
         probe.wire_bytes = in.get_u64();
-        r.probes.push_back(std::move(probe));
       }
       break;
     }
@@ -261,7 +279,7 @@ void decode_body(ByteReader& in, Message& m) {
       const std::uint16_t modules = read_count(in);
       r.modules.reserve(modules);
       for (std::uint16_t i = 0; i < modules; ++i) {
-        ModuleStatusRow row;
+        ModuleStatusRow& row = r.modules.emplace_back();
         row.name = read_str(in);
         row.samples = in.get_u64();
         row.errors = in.get_u64();
@@ -273,7 +291,6 @@ void decode_body(ByteReader& in, Message& m) {
           std::string value = read_str(in);
           row.notes.emplace_back(std::move(key), std::move(value));
         }
-        r.modules.push_back(std::move(row));
       }
       break;
     }
@@ -330,19 +347,16 @@ const char* event_kind_name(Event::Kind kind) {
 }
 
 Bytes encode_message(const Message& message, Bytes reuse) {
+  SizeCounter frame;
+  encode_frame(frame, message);
   ByteWriter out(std::move(reuse));
-  out.put_u32(0);  // length prefix, patched once the body is written
-  out.put_u16(kMagic);
-  out.put_u8(kProtocolVersion);
-  out.put_u8(static_cast<std::uint8_t>(message.header.type));
-  out.put_u32(message.header.request_id);
-  out.put_u64(static_cast<std::uint64_t>(message.header.sent_at));
-  encode_body(out, message);
-  out.patch_u32(0, static_cast<std::uint32_t>(out.size() - 4));
+  out.reserve(4 + frame.size);
+  out.put_u32(static_cast<std::uint32_t>(frame.size));
+  encode_frame(out, message);
   return std::move(out).take();
 }
 
-Message decode_message(std::span<const std::uint8_t> wire) {
+void decode_message(std::span<const std::uint8_t> wire, Message& m) {
   ByteReader in(wire);
   const std::uint32_t length = in.get_u32();
   if (length != in.remaining()) {
@@ -356,7 +370,6 @@ Message decode_message(std::span<const std::uint8_t> wire) {
   if (version != kProtocolVersion) {
     throw ProtocolError("unsupported version " + std::to_string(version));
   }
-  Message m;
   const std::uint8_t type = in.get_u8();
   if (type < static_cast<std::uint8_t>(MessageType::kWindowRequest) ||
       type > static_cast<std::uint8_t>(MessageType::kModulesResponse)) {
@@ -369,6 +382,11 @@ Message decode_message(std::span<const std::uint8_t> wire) {
   if (!in.empty()) {
     throw ProtocolError("trailing bytes after body");
   }
+}
+
+Message decode_message(std::span<const std::uint8_t> wire) {
+  Message m;
+  decode_message(wire, m);
   return m;
 }
 

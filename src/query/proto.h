@@ -203,14 +203,19 @@ struct Message {
   std::string error;
 };
 
-/// Encodes one frame (length prefix included) ready for a UDP payload,
-/// in one pass into `reuse`'s heap capacity (its contents are discarded;
-/// pass a buffer from the simulator's BufferPool to encode without
-/// allocating).
+/// Encodes one frame (length prefix included) ready for a UDP payload
+/// into `reuse`'s heap capacity (its contents are discarded; pass a
+/// buffer from the simulator's BufferPool to encode without allocating).
+/// A size pass over the message comes first, so the frame's exact size
+/// is reserved once and no put grows the buffer.
 Bytes encode_message(const Message& message, Bytes reuse = {});
 
-/// Decodes one frame; throws ProtocolError on bad magic/version/length
-/// and BufferUnderflow on truncation.
+/// Decodes one frame into `out`, which must be freshly constructed: rows
+/// are appended to its vectors in place. Throws ProtocolError on bad
+/// magic/version/length and BufferUnderflow on truncation, leaving `out`
+/// partly filled.
+void decode_message(std::span<const std::uint8_t> wire, Message& out);
+/// The same decode into a new Message.
 Message decode_message(std::span<const std::uint8_t> wire);
 
 }  // namespace netqos::query

@@ -128,7 +128,7 @@ void QueryServer::on_packet(const sim::Ipv4Packet& packet) {
   bytes_received_->inc(packet.udp.payload.size());
   Message request;
   try {
-    request = decode_message(packet.udp.payload);
+    decode_message(packet.udp.payload, request);
   } catch (const std::exception& e) {
     bad_requests_->inc();
     Message error;

@@ -144,7 +144,8 @@ void write_value(ByteWriter& out, const SnmpValue& value) {
   std::visit(Visitor{out}, value);
 }
 
-void write_wrapped(ByteWriter& out, std::uint8_t tag, const Bytes& content) {
+void write_wrapped(ByteWriter& out, std::uint8_t tag,
+                   std::span<const std::uint8_t> content) {
   write_header(out, tag, content.size());
   out.put_bytes(content);
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 
 #include "common/byte_buffer.h"
@@ -56,7 +57,8 @@ void write_oid(ByteWriter& out, const Oid& oid);
 void write_value(ByteWriter& out, const SnmpValue& value);
 
 /// Wraps already-encoded content in a constructed TLV.
-void write_wrapped(ByteWriter& out, std::uint8_t tag, const Bytes& content);
+void write_wrapped(ByteWriter& out, std::uint8_t tag,
+                   std::span<const std::uint8_t> content);
 
 /// Encoded sizes, for computing nested lengths ahead of a single-pass
 /// encode (no scratch buffers). Each *_size returns the full TLV size

@@ -5,13 +5,18 @@
 namespace netqos {
 namespace {
 
+/// The bytes a writer has written, as a vector for EXPECT_EQ.
+Bytes written(const ByteWriter& w) {
+  return Bytes(w.bytes().begin(), w.bytes().end());
+}
+
 TEST(ByteWriter, WritesBigEndianIntegers) {
   ByteWriter w;
   w.put_u8(0x01);
   w.put_u16(0x0203);
   w.put_u32(0x04050607);
   const Bytes expected{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07};
-  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(written(w), expected);
 }
 
 TEST(ByteWriter, WritesU64) {
@@ -28,7 +33,7 @@ TEST(ByteWriter, AppendsBytesAndStrings) {
   w.put_bytes(chunk);
   w.put_string("hi");
   const Bytes expected{0xaa, 0xbb, 'h', 'i'};
-  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(written(w), expected);
 }
 
 TEST(ByteWriter, PatchOverwritesByte) {
@@ -52,7 +57,7 @@ TEST(ByteWriter, PatchU32OverwritesBigEndianWord) {
   w.put_u8(0xbb);
   w.patch_u32(1, 0x01020304);
   const Bytes expected{0xaa, 0x01, 0x02, 0x03, 0x04, 0xbb};
-  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(written(w), expected);
 }
 
 TEST(ByteWriter, PatchU32PastEndThrows) {
@@ -72,8 +77,58 @@ TEST(ByteWriter, ReusedBufferStartsEmptyAndKeepsCapacity) {
   w.put_u64(0x030405060708090aULL);
   const Bytes expected{0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
                        0x07, 0x08, 0x09, 0x0a};
-  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(written(w), expected);
   EXPECT_EQ(w.bytes().data(), storage);
+
+  // Filling the rest of the capacity still writes in place; taking it
+  // trims to the written bytes and keeps the heap.
+  for (std::size_t i = w.size(); i < 64; ++i) {
+    w.put_u8(static_cast<std::uint8_t>(i));
+  }
+  EXPECT_EQ(w.bytes().data(), storage);
+  const Bytes taken = std::move(w).take();
+  ASSERT_EQ(taken.size(), 64u);
+  EXPECT_EQ(taken.data(), storage);
+  EXPECT_EQ(taken[9], 0x0a);
+  EXPECT_EQ(taken[63], 63);
+
+  // Growth past a reused buffer's capacity keeps every byte written.
+  Bytes small;
+  small.reserve(8);
+  ByteWriter grown(std::move(small));
+  for (std::uint8_t i = 0; i < 20; ++i) grown.put_u8(i);
+  grown.put_u64(0x1122334455667788ULL);
+  const Bytes grown_bytes = std::move(grown).take();
+  ASSERT_EQ(grown_bytes.size(), 28u);
+  for (std::uint8_t i = 0; i < 20; ++i) EXPECT_EQ(grown_bytes[i], i);
+  EXPECT_EQ(grown_bytes[20], 0x11);
+  EXPECT_EQ(grown_bytes[27], 0x88);
+
+  // patch_u32 then take(): the reserved but unwritten region is not part
+  // of the frame, neither for a patch nor in what take() returns.
+  ByteWriter patched(Bytes(32, 0xee));
+  patched.reserve(16);
+  patched.put_u32(0);
+  patched.put_u8(0xaa);
+  patched.patch_u32(0, 0x01020304);
+  EXPECT_THROW(patched.patch_u32(2, 0), std::out_of_range);
+  EXPECT_EQ(std::move(patched).take(), (Bytes{0x01, 0x02, 0x03, 0x04, 0xaa}));
+
+  // An empty write leaves an empty buffer, fresh or reused, and a reused
+  // one keeps its heap for the pool.
+  ByteWriter fresh;
+  fresh.put_bytes({});
+  fresh.put_string("");
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_TRUE(fresh.bytes().empty());
+  EXPECT_TRUE(std::move(fresh).take().empty());
+  Bytes spare(16, 0xee);
+  const std::uint8_t* spare_storage = spare.data();
+  ByteWriter reused(std::move(spare));
+  reused.reserve(8);
+  const Bytes empty = std::move(reused).take();
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.data(), spare_storage);
 }
 
 TEST(ByteWriter, TakeMovesBuffer) {

@@ -129,6 +129,28 @@ TEST(RetentionPolicyTest, ForSpanCoversRequestedSpan) {
   EXPECT_THROW(RetentionPolicy::for_span(0, kSecond), std::invalid_argument);
 }
 
+TEST(RetentionPolicyTest, ForSpanRefusesSpansPastItsBound) {
+  constexpr SimDuration kPoll = 2 * kSecond;
+  constexpr auto kMaxIntervals =
+      static_cast<SimDuration>(RetentionPolicy::kMaxSpanBuckets - 2);
+  // The largest span accepted fills each ring to the bound exactly.
+  const RetentionPolicy widest =
+      RetentionPolicy::for_span(kMaxIntervals * kPoll, kPoll);
+  EXPECT_EQ(widest.raw_capacity, RetentionPolicy::kMaxSpanBuckets);
+  for (const RetentionPolicy::Tier& tier : widest.tiers) {
+    EXPECT_EQ(tier.capacity, RetentionPolicy::kMaxSpanBuckets);
+  }
+  // A span short of the next whole interval still fits.
+  EXPECT_NO_THROW(
+      RetentionPolicy::for_span((kMaxIntervals + 1) * kPoll - 1, kPoll));
+  // One interval more does not, nor does netqosmon --history-retention
+  // 1e9, which would ask for about 72 GB per series.
+  EXPECT_THROW(RetentionPolicy::for_span((kMaxIntervals + 1) * kPoll, kPoll),
+               std::invalid_argument);
+  EXPECT_THROW(RetentionPolicy::for_span(seconds(1'000'000'000), kPoll),
+               std::invalid_argument);
+}
+
 TEST(HistoryStoreTest, QueryAndLookup) {
   HistoryStore store(small_policy());
   store.append("a", seconds(1), 10.0);

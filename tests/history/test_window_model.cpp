@@ -7,8 +7,14 @@
 //     accepts, on every tier.
 //   - Every WindowSummary field except the binned p95 must equal a
 //     brute-force scan of the tier the store documents it answers from.
+//   - Each window is asked twice, then again after one more append: the
+//     repeat must equal the first answer bit for bit, p95 included (the
+//     series' memo answers it), and the answer after the append must
+//     match the brute force again (the append invalidates the memo, even
+//     when it only folds into a bucket the window already covered).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -106,6 +112,42 @@ WindowSummary brute_force(const Series& series, SimTime begin, SimTime end) {
   return summary;
 }
 
+/// Every field but the binned p95 equals the brute-force answer.
+void expect_matches_brute_force(const WindowSummary& got,
+                                const WindowSummary& want) {
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.buckets, want.buckets);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.resolution, want.resolution);
+  EXPECT_EQ(got.complete, want.complete);
+  if (got.samples != 0) {
+    EXPECT_GE(got.p95, got.min);
+  } else {
+    EXPECT_EQ(got.p95, 0.0);
+  }
+}
+
+/// Every field equal, the doubles bit for bit.
+void expect_same_bits(const WindowSummary& repeat,
+                      const WindowSummary& first) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(repeat.samples, first.samples);
+  EXPECT_EQ(repeat.buckets, first.buckets);
+  EXPECT_EQ(bits(repeat.min), bits(first.min));
+  EXPECT_EQ(bits(repeat.mean), bits(first.mean));
+  EXPECT_EQ(bits(repeat.max), bits(first.max));
+  EXPECT_EQ(bits(repeat.p95), bits(first.p95));
+  EXPECT_EQ(repeat.resolution, first.resolution);
+  EXPECT_EQ(repeat.complete, first.complete);
+}
+
+/// A sample value: few distinct values, so some windows are constant.
+double random_value(Xoshiro256& rng) {
+  return rng.uniform_int(0, 3) == 0 ? 500.0 : rng.uniform(0.0, 1000.0);
+}
+
 TEST(WindowModel, OverlappingAndQueryMatchBruteForce) {
   std::size_t windows_with_samples = 0;
   std::size_t empty_windows = 0;
@@ -120,11 +162,7 @@ TEST(WindowModel, OverlappingAndQueryMatchBruteForce) {
     for (std::size_t i = 0; i < samples; ++i) {
       t = next_time(rng, t);
       if (t > last_time) last_time = t;
-      // Few distinct values, so some windows are constant.
-      const double value = rng.uniform_int(0, 3) == 0
-                               ? 500.0
-                               : rng.uniform(0.0, 1000.0);
-      series.add(t, value);
+      series.add(t, random_value(rng));
     }
     const SimTime lo = first_time - 10 * kSecond;
     const SimTime hi = last_time + 10 * kSecond;
@@ -150,21 +188,19 @@ TEST(WindowModel, OverlappingAndQueryMatchBruteForce) {
       }
 
       const WindowSummary got = series.query(begin, end);
-      const WindowSummary want = brute_force(series, begin, end);
-      EXPECT_EQ(got.samples, want.samples);
-      EXPECT_EQ(got.buckets, want.buckets);
-      EXPECT_EQ(got.min, want.min);
-      EXPECT_EQ(got.mean, want.mean);
-      EXPECT_EQ(got.max, want.max);
-      EXPECT_EQ(got.resolution, want.resolution);
-      EXPECT_EQ(got.complete, want.complete);
+      expect_matches_brute_force(got, brute_force(series, begin, end));
+      expect_same_bits(series.query(begin, end), got);
       if (got.samples != 0) {
         ++windows_with_samples;
-        EXPECT_GE(got.p95, got.min);
       } else {
         ++empty_windows;
-        EXPECT_EQ(got.p95, 0.0);
       }
+
+      t = next_time(rng, t);
+      series.add(t, random_value(rng));
+      SCOPED_TRACE("after an append");
+      expect_matches_brute_force(series.query(begin, end),
+                                 brute_force(series, begin, end));
     }
   }
   // The generator must exercise both outcomes.

@@ -95,6 +95,36 @@ TEST(PollScheduler, RejectsConfigsItCannotRunWith) {
   EXPECT_NO_THROW(PollScheduler(config, {"a"}));
 }
 
+TEST(PollScheduler, RefusesStaggersWhosePhasesLeaveTheClock) {
+  constexpr SimDuration kHalfClock = std::numeric_limits<SimTime>::max() / 2;
+  SchedulerConfig config = base_config();
+  config.stagger = -kMillisecond;
+  EXPECT_THROW(PollScheduler(config, {"a"}), std::invalid_argument);
+
+  // netqosmon --stagger 4e12 (ms): the third agent's phase, 8e18 ns,
+  // passes half of the clock; the fourth's would overflow.
+  config.stagger = from_seconds(4e12 / 1000.0);
+  EXPECT_NO_THROW(PollScheduler(config, {"a", "b"}));
+  EXPECT_THROW(PollScheduler(config, {"a", "b", "c"}), std::invalid_argument);
+  EXPECT_THROW(PollScheduler(config, {"a", "b", "c", "d"}),
+               std::invalid_argument);
+
+  // add_agent checks the phase it hands out the same way and registers
+  // nothing when it throws.
+  config.stagger = kHalfClock / 2;
+  PollScheduler sched(config, {"a", "b"});
+  sched.add_agent("c");  // phase 2 x stagger, within half of the clock
+  EXPECT_EQ(sched.find("c")->phase, 2 * (kHalfClock / 2));
+  EXPECT_THROW(sched.add_agent("d"), std::invalid_argument);
+  EXPECT_EQ(sched.find("d"), nullptr);
+  EXPECT_EQ(sched.agents().size(), 3u);
+
+  config.stagger = std::numeric_limits<SimDuration>::max();
+  PollScheduler lone(config, {"a"});  // phase 0 whatever the stagger
+  EXPECT_THROW(lone.add_agent("b"), std::invalid_argument);
+  EXPECT_EQ(lone.agents().size(), 1u);
+}
+
 TEST(MonitorConfigChecks, RejectsIntervalsItCannotRunWith) {
   exp::LirtssTestbed bed;
   const auto rejects = [&](const MonitorConfig& config) {

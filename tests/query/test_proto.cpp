@@ -9,7 +9,19 @@
 namespace netqos::query {
 namespace {
 
-Message round_trip(const Message& in) { return decode_message(encode_message(in)); }
+/// Encodes `in`, then decodes the frame both ways: in place into a
+/// fresh Message, and by value. Both must re-encode to the same frame.
+/// The encode's size pass must be exact: a fresh encode reserves the
+/// frame once and never grows, so its capacity is its size.
+Message round_trip(const Message& in) {
+  const Bytes wire = encode_message(in);
+  EXPECT_EQ(wire.capacity(), wire.size());
+  Message in_place;
+  decode_message(wire, in_place);
+  EXPECT_EQ(encode_message(in_place), wire);
+  EXPECT_EQ(encode_message(decode_message(wire)), wire);
+  return in_place;
+}
 
 TEST(QueryProto, WindowRequestRoundTrip) {
   Message m;
@@ -230,6 +242,23 @@ TEST(QueryProto, EncodeIntoReusedBufferMatchesFreshEncode) {
   const Bytes reused = encode_message(m, std::move(stale));
   EXPECT_EQ(reused, fresh);
   EXPECT_EQ(reused.data(), storage);  // written into the given capacity
+
+  // A reused buffer too small for the frame grows to fit it.
+  Bytes small;
+  small.reserve(8);
+  EXPECT_EQ(encode_message(m, std::move(small)), fresh);
+
+  // The length prefix written first is the one a back-patch would give:
+  // it covers exactly the bytes after it, also after a reused buffer.
+  const Bytes again = encode_message(m, encode_message(m));
+  EXPECT_EQ(again, fresh);
+
+  // A header-only frame leaves nothing of a larger earlier frame.
+  Message bare;
+  bare.header.type = MessageType::kHealthRequest;
+  const Bytes header_only = encode_message(bare, Bytes(fresh));
+  EXPECT_EQ(header_only, encode_message(bare));
+  EXPECT_EQ(header_only.size(), 4u + 16u);
 }
 
 TEST(QueryProto, RejectsMalformedFrames) {

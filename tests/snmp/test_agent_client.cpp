@@ -206,7 +206,7 @@ TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
   ber::write_null(body);
   ByteWriter varbind;
   ber::write_wrapped(varbind, ber::kTagSequence, body.bytes());
-  const Bytes good = varbind.bytes();
+  const Bytes good = std::move(varbind).take();
   // The varbind's SEQUENCE header claims two bytes the list lacks.
   const Bytes truncated(good.begin(), good.end() - 2);
   ber::write_integer(body, 0);
@@ -221,7 +221,7 @@ TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
   EXPECT_EQ(agent->stats().decode_errors, 1u);
 
   send(get_request_with_varbinds("public", truncated));
-  send(get_request_with_varbinds("public", trailing.bytes()));
+  send(get_request_with_varbinds("public", std::move(trailing).take()));
   // request-id is an Integer32; five octets of it are malformed.
   send(get_request_with_varbinds("public", good,
                                  (std::int64_t{1} << 32) + 77));

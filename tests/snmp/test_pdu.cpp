@@ -109,7 +109,7 @@ TEST(PduCodec, RejectsNonPduTag) {
   ber::write_integer(inner, 7);                 // bogus: not a PDU
   ByteWriter out;
   ber::write_wrapped(out, ber::kTagSequence, inner.bytes());
-  EXPECT_THROW(decode_message(out.bytes()), BerError);
+  EXPECT_THROW(decode_message(std::move(out).take()), BerError);
 }
 
 TEST(PduCodec, ErrorStatusNames) {
